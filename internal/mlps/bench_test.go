@@ -18,6 +18,34 @@ func BenchmarkGradient(b *testing.B) {
 	}
 }
 
+// BenchmarkForward measures one image's class probabilities, the
+// per-sample cost of evaluation and of each Gradient sample's forward pass.
+func BenchmarkForward(b *testing.B) {
+	d := SyntheticMNIST(1, 100)
+	m := NewModel()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchProbs = m.Forward(d.Images[i%len(d.Images)])
+	}
+}
+
+var benchProbs [Classes]float64
+
+// BenchmarkTrainFigure1b measures one whole Figure 1(b) training run (Adam,
+// five workers, batch 100, 200 steps) on a prebuilt dataset: the kernel,
+// the per-step worker fan-out, the overlap merge and the optimizer
+// together.
+func BenchmarkTrainFigure1b(b *testing.B) {
+	d := SyntheticMNIST(1, 4000)
+	cfg := Figure1bConfig(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(d, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkUpdatedIndices measures the transmitted-update extraction.
 func BenchmarkUpdatedIndices(b *testing.B) {
 	d := SyntheticMNIST(1, 500)

@@ -9,8 +9,8 @@
 // generates a synthetic handwritten-digit substitute calibrated to the
 // properties the overlap metric actually depends on: 28×28 images, 10
 // classes, a dead border, centre-heavy pixel activation, class-conditional
-// stroke structure, and MNIST-like per-image sparsity (~19% of pixels
-// active). See DESIGN.md's substitution table.
+// stroke structure, and sparse images (~10% of pixels active, against
+// MNIST's ~19%). EXPERIMENTS.md's "Calibration notes" give the reasons.
 package mlps
 
 import (

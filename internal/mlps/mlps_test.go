@@ -2,6 +2,7 @@ package mlps
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -360,5 +361,213 @@ func TestAdamStateEvolves(t *testing.T) {
 	}
 	if a.Name() != "adam" || (&SGD{}).Name() != "sgd" {
 		t.Fatal("names")
+	}
+}
+
+// refForward is the dense reference Forward: every pixel scanned, inactive
+// ones skipped. The kernel must match it bit for bit.
+func refForward(m *Model, x []float32) [Classes]float64 {
+	var logits [Classes]float64
+	for j := 0; j < Classes; j++ {
+		logits[j] = float64(m.B[j])
+	}
+	for i, xi := range x {
+		if xi == 0 {
+			continue
+		}
+		base := i * Classes
+		for j := 0; j < Classes; j++ {
+			logits[j] += float64(xi) * float64(m.W[base+j])
+		}
+	}
+	maxL := logits[0]
+	for _, l := range logits[1:] {
+		if l > maxL {
+			maxL = l
+		}
+	}
+	var sum float64
+	var probs [Classes]float64
+	for j := range logits {
+		probs[j] = math.Exp(logits[j] - maxL)
+		sum += probs[j]
+	}
+	for j := range probs {
+		probs[j] /= sum
+	}
+	return probs
+}
+
+// refGradient is the dense reference Gradient.
+func refGradient(m *Model, d *Dataset, batch []int, g *Grad) float64 {
+	g.Reset()
+	if len(batch) == 0 {
+		return 0
+	}
+	var loss float64
+	inv := 1.0 / float64(len(batch))
+	for _, s := range batch {
+		x := d.Images[s]
+		label := d.Labels[s]
+		probs := refForward(m, x)
+		loss += -math.Log(math.Max(probs[label], 1e-12))
+		var delta [Classes]float64
+		for j := 0; j < Classes; j++ {
+			delta[j] = probs[j]
+			if j == label {
+				delta[j] -= 1
+			}
+		}
+		for i, xi := range x {
+			if xi == 0 {
+				continue
+			}
+			base := i * Classes
+			for j := 0; j < Classes; j++ {
+				g.W[base+j] += float32(float64(xi) * delta[j] * inv)
+			}
+		}
+		for j := 0; j < Classes; j++ {
+			g.B[j] += float32(delta[j] * inv)
+		}
+	}
+	return loss * inv
+}
+
+// randomModel returns a model after a few Adam steps on random sparse
+// gradients, so its weights are non-zero and of both signs.
+func randomModel(rng *rand.Rand) *Model {
+	m := NewModel()
+	opt := NewAdam(0.05)
+	g := NewGrad()
+	for step := 1 + rng.Intn(5); step > 0; step-- {
+		g.Reset()
+		for k := 0; k < WeightDim/2; k++ {
+			g.W[rng.Intn(WeightDim)] = float32(rng.NormFloat64())
+		}
+		for j := range g.B {
+			g.B[j] = float32(rng.NormFloat64())
+		}
+		opt.Step(m, g)
+	}
+	return m
+}
+
+// edgeImages returns the images the kernel's sparse walk must treat as the
+// dense scan does: all-zero, all-active, signed zeros among active pixels,
+// and a short image.
+func edgeImages(rng *rand.Rand) [][]float32 {
+	zero := make([]float32, Pixels)
+	full := make([]float32, Pixels)
+	negZero := make([]float32, Pixels)
+	short := make([]float32, Pixels/2+3)
+	negz := float32(math.Copysign(0, -1))
+	for i := range full {
+		full[i] = 1 - rng.Float32()
+		if i%3 == 0 {
+			negZero[i] = negz
+		} else if i%3 == 1 {
+			negZero[i] = full[i]
+		}
+	}
+	for i := range short {
+		if rng.Intn(4) == 0 {
+			short[i] = rng.Float32()
+		}
+	}
+	return [][]float32{zero, full, negZero, short}
+}
+
+func sameProbs(a, b [Classes]float64) bool {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameFloat32s(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Property: the sparse kernel's Forward is bit-identical to the dense
+// reference on random models, for dataset images and edge images alike,
+// including images longer than Pixels whose tail is zero.
+func TestForwardMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := testDataset(t, 50)
+	tail := append(append([]float32(nil), d.Images[0]...), 0, 0, 0)
+	images := append(append(edgeImages(rng), tail), d.Images...)
+	for trial := 0; trial < 20; trial++ {
+		m := randomModel(rng)
+		if trial == 0 {
+			m = NewModel()
+		}
+		for k, x := range images {
+			if got, want := m.Forward(x), refForward(m, x); !sameProbs(got, want) {
+				t.Fatalf("trial %d image %d: Forward %v, reference %v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// Property: the sparse kernel's Gradient returns the reference's loss,
+// g.W and g.B bit for bit, on random models and random batches (with
+// duplicate samples) over dataset and edge images.
+func TestGradientMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	d := testDataset(t, 60)
+	for _, x := range edgeImages(rng) {
+		d.Images = append(d.Images, x)
+		d.Labels = append(d.Labels, rng.Intn(Classes))
+	}
+	var batches [][]int
+	for e := d.Len() - 4; e < d.Len(); e++ {
+		batches = append(batches, []int{e}, []int{e, 0, e})
+	}
+	for len(batches) < 40 {
+		batch := make([]int, 1+rng.Intn(30))
+		for i := range batch {
+			batch[i] = rng.Intn(d.Len())
+		}
+		batches = append(batches, batch)
+	}
+	got, want := NewGrad(), NewGrad()
+	for trial, batch := range batches {
+		m := randomModel(rng)
+		gl, wl := m.Gradient(d, batch, got), refGradient(m, d, batch, want)
+		if math.Float64bits(gl) != math.Float64bits(wl) {
+			t.Fatalf("trial %d: loss %v, reference %v", trial, gl, wl)
+		}
+		if i := sameFloat32s(got.W, want.W); i >= 0 {
+			t.Fatalf("trial %d: g.W[%d] = %v, reference %v", trial, i, got.W[i], want.W[i])
+		}
+		if i := sameFloat32s(got.B, want.B); i >= 0 {
+			t.Fatalf("trial %d: g.B[%d] = %v, reference %v", trial, i, got.B[i], want.B[i])
+		}
+	}
+}
+
+// The kernel allocates nothing: its active-pixel list lives on the stack.
+func TestGradientZeroAlloc(t *testing.T) {
+	d := testDataset(t, 200)
+	m := randomModel(rand.New(rand.NewSource(3)))
+	g := NewGrad()
+	batch := make([]int, 100)
+	for i := range batch {
+		batch[i] = i
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Gradient(d, batch, g)
+		m.Forward(d.Images[0])
+	})
+	if allocs != 0 {
+		t.Fatalf("Gradient+Forward: %v allocs/op, want 0", allocs)
 	}
 }

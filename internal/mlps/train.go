@@ -3,6 +3,8 @@ package mlps
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"github.com/daiet/daiet/internal/hashing"
 )
@@ -71,6 +73,11 @@ type TrainResult struct {
 // computes a gradient on its own mini-batch; the parameter server sums the
 // contributions (the aggregation DAIET offloads), averages, and applies the
 // optimizer. Update overlap is measured on the per-worker transmitted sets.
+//
+// The workers of a step run on up to GOMAXPROCS goroutines. The result is
+// bit-identical at any GOMAXPROCS: each worker's gradient is computed in a
+// fixed per-element order, and the losses and update sets are merged in
+// worker order.
 func Train(d *Dataset, cfg TrainConfig) (*TrainResult, error) {
 	if cfg.Workers < 1 || cfg.BatchSize < 1 || cfg.Steps < 1 {
 		return nil, fmt.Errorf("mlps: invalid config %+v", cfg)
@@ -99,28 +106,41 @@ func Train(d *Dataset, cfg TrainConfig) (*TrainResult, error) {
 		rngs[w] = rand.New(rand.NewSource(int64(hashing.Mix64(cfg.Seed ^ uint64(w+1)<<40))))
 	}
 
-	res := &TrainResult{Config: cfg, Model: model}
+	res := &TrainResult{Config: cfg, Model: model, Metrics: make([]StepMetrics, 0, cfg.Steps)}
 	grads := make([]*Grad, cfg.Workers)
+	batches := make([][]int, cfg.Workers)
 	for w := range grads {
 		grads[w] = NewGrad()
+		batches[w] = make([]int, 0, cfg.BatchSize)
 	}
+	losses := make([]float64, cfg.Workers)
 	agg := NewGrad()
-	counts := make([]uint8, WeightDim)
+	counts := make([]int32, WeightDim)
 	idxScratch := make([]int, 0, WeightDim)
 
+	// Each worker's step touches only its own RNG, batch, gradient and
+	// loss slot, and reads the model the caller leaves untouched until
+	// every worker is done, so the workers may run on any goroutine.
+	work := func(w int) {
+		batches[w] = sampleBatch(rngs[w], shards[w], cfg.BatchSize, batches[w])
+		losses[w] = model.Gradient(d, batches[w], grads[w])
+	}
+	pool := newStepPool(min(runtime.GOMAXPROCS(0), cfg.Workers), cfg.Workers, work)
+	defer pool.close()
+
 	for step := 0; step < cfg.Steps; step++ {
+		pool.run()
+		// Merge in worker order: the loss sum and the counts come out the
+		// same however the workers were scheduled.
 		var stepLoss float64
 		for i := range counts {
 			counts[i] = 0
 		}
 		for w := 0; w < cfg.Workers; w++ {
-			batch := sampleBatch(rngs[w], shards[w], cfg.BatchSize)
-			stepLoss += model.Gradient(d, batch, grads[w])
+			stepLoss += losses[w]
 			idxScratch = grads[w].UpdatedIndices(cfg.RelThreshold, idxScratch)
 			for _, idx := range idxScratch {
-				if counts[idx] < 255 {
-					counts[idx]++
-				}
+				counts[idx]++
 			}
 		}
 		// Overlap statistics.
@@ -168,12 +188,80 @@ func Train(d *Dataset, cfg TrainConfig) (*TrainResult, error) {
 	return res, nil
 }
 
-func sampleBatch(rng *rand.Rand, shard []int, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = shard[rng.Intn(len(shard))]
+// sampleBatch draws n samples from shard with replacement into out's
+// storage and returns them.
+func sampleBatch(rng *rand.Rand, shard []int, n int, out []int) []int {
+	out = out[:0]
+	for i := 0; i < n; i++ {
+		out = append(out, shard[rng.Intn(len(shard))])
 	}
 	return out
+}
+
+// stepPool runs one training step's workers on a fixed set of helper
+// goroutines, started once per Train call and stopped by close.
+type stepPool struct {
+	workers int
+	work    func(w int)
+	tasks   chan int
+	step    sync.WaitGroup // the current step's workers
+	helpers sync.WaitGroup // running helper goroutines
+	// panics[w] holds the value worker w's work panicked with, so run can
+	// re-raise it on the calling goroutine.
+	panics []any
+}
+
+func newStepPool(helpers, workers int, work func(w int)) *stepPool {
+	p := &stepPool{
+		workers: workers,
+		work:    work,
+		// Sized to one step's sends, so feeding a step never blocks.
+		tasks:  make(chan int, workers),
+		panics: make([]any, workers),
+	}
+	p.helpers.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		go p.helper()
+	}
+	return p
+}
+
+func (p *stepPool) helper() {
+	defer p.helpers.Done()
+	for w := range p.tasks {
+		p.do(w)
+	}
+}
+
+func (p *stepPool) do(w int) {
+	defer p.step.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			p.panics[w] = r
+		}
+	}()
+	p.work(w)
+}
+
+// run executes work(0) … work(workers-1) and returns once all are done. A
+// panic in any of them is re-raised here, the lowest worker's first.
+func (p *stepPool) run() {
+	p.step.Add(p.workers)
+	for w := 0; w < p.workers; w++ {
+		p.tasks <- w
+	}
+	p.step.Wait()
+	for _, r := range p.panics {
+		if r != nil {
+			panic(r)
+		}
+	}
+}
+
+// close stops the helper goroutines and returns once they have exited.
+func (p *stepPool) close() {
+	close(p.tasks)
+	p.helpers.Wait()
 }
 
 // MeanOverlap averages the overlap series (the single number the paper

@@ -26,8 +26,8 @@
 //	net.Run()
 //	fmt.Println(col.Result()) // key -> 4, one packet at the reducer
 //
-// See the examples directory for complete programs and DESIGN.md for the
-// architecture.
+// See the examples directory for complete programs and README.md (its
+// package map) for the architecture.
 package daiet
 
 import (

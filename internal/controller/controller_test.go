@@ -75,8 +75,8 @@ func TestPlanTreeSpanningProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Invariant 3 (DESIGN.md): acyclic, covers all mappers, parents chain
-	// to the root.
+	// Tree invariant: the plan is acyclic, covers every mapper, and each
+	// mapper's parent chain reaches the reducer at the root.
 	for _, m := range mappers {
 		seen := map[netsim.NodeID]bool{}
 		cur := m

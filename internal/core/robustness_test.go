@@ -106,8 +106,8 @@ func TestCollectorSurvivesGarbagePayloads(t *testing.T) {
 	}
 }
 
-// TestTreeStateInvariantsUnderRandomTraffic checks the conservation
-// invariant (DESIGN.md #4) under randomized valid traffic: every pair that
+// TestTreeStateInvariantsUnderRandomTraffic checks the switch's pair
+// conservation invariant under randomized valid traffic: every pair that
 // enters a switch is stored, combined, or spilled — never lost.
 func TestTreeStateInvariantsUnderRandomTraffic(t *testing.T) {
 	f := func(seed int64, tableRaw uint8) bool {

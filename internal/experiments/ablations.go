@@ -3,20 +3,15 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/daiet/daiet/internal/mapreduce"
-	"github.com/daiet/daiet/internal/runner"
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/wire"
 	"github.com/daiet/daiet/internal/workload"
 )
 
-// AblationPoint is one configuration's outcome in an ablation sweep.
-type AblationPoint struct {
-	Label string
-	// X is the swept parameter's numeric value.
-	X float64
+// ablationPoint is one configuration's outcome in an ablation sweep.
+type ablationPoint struct {
 	// DataReductionPct is the median per-reducer data-volume reduction of
 	// DAIET vs the UDP baseline (isolates aggregation from transport
 	// effects).
@@ -29,20 +24,19 @@ type AblationPoint struct {
 	ReducerPairs uint64
 }
 
-// ablationCorpusCache memoizes generated corpora: a corpus depends only on
-// its spec, not on the swept parameter, so the points × seeds grid of an
+// ablationCorpora memoizes generated corpora: a corpus depends only on its
+// spec, not on the swept parameter, so the points × seeds grid of an
 // ablation Spec would otherwise regenerate identical corpora per point.
-// Generation is deterministic, so a concurrent duplicate computation
-// stores an identical value; the corpus is read-only after generation
-// (Splits allocates fresh slice headers over the shared stream).
-var ablationCorpusCache sync.Map // workload.CorpusSpec -> *workload.Corpus
+// The corpus is read-only after generation (Splits allocates fresh slice
+// headers over the shared stream).
+var ablationCorpora memo[workload.CorpusSpec, *workload.Corpus]
 
 // ablationCorpus builds (or recalls) the shared corpus for an ablation
 // run; collisions are permitted when collisionFree is false (spillover
 // ablations need them).
 func ablationCorpus(seed uint64, reducers, vocabPer int, mult float64,
 	tableSize, maxWordLen, keyWidth int, collisionFree bool) (*workload.Corpus, error) {
-	spec := workload.CorpusSpec{
+	return ablationCorpora.get(workload.CorpusSpec{
 		Seed:             seed,
 		Reducers:         reducers,
 		VocabPerReducer:  vocabPer,
@@ -51,22 +45,13 @@ func ablationCorpus(seed uint64, reducers, vocabPer int, mult float64,
 		MaxWordLen:       maxWordLen,
 		KeyWidth:         keyWidth,
 		CollisionFree:    collisionFree,
-	}
-	if v, ok := ablationCorpusCache.Load(spec); ok {
-		return v.(*workload.Corpus), nil
-	}
-	corpus, err := workload.Generate(spec)
-	if err != nil {
-		return nil, err
-	}
-	ablationCorpusCache.Store(spec, corpus)
-	return corpus, nil
+	}, workload.Generate)
 }
 
 // runPair runs DAIET and the UDP baseline over the same splits and reports
 // the medians.
-func runPair(splits [][]string, ccfg mapreduce.ClusterConfig) (AblationPoint, error) {
-	var pt AblationPoint
+func runPair(splits [][]string, ccfg mapreduce.ClusterConfig) (ablationPoint, error) {
+	var pt ablationPoint
 	daietCl, err := mapreduce.NewCluster(ccfg)
 	if err != nil {
 		return pt, err
@@ -99,8 +84,7 @@ func runPair(splits [][]string, ccfg mapreduce.ClusterConfig) (AblationPoint, er
 	return pt, nil
 }
 
-// ablationMappers/ablationReducers/ablationVocab size every ablation: the
-// single source shared by the sweep functions and the registry Specs.
+// ablationMappers/ablationReducers/ablationVocab size every ablation.
 const (
 	ablationMappers  = 8
 	ablationReducers = 2
@@ -109,65 +93,37 @@ const (
 
 // ablationRegisterSizePoint runs one table-size configuration over its own
 // (seed-determined, collision-permitted) corpus: small tables must spill.
-func ablationRegisterSizePoint(seed uint64, size, vocabPer, sim int) (AblationPoint, error) {
-	var pt AblationPoint
+func ablationRegisterSizePoint(seed uint64, size, vocabPer, sim int) (ablationPoint, error) {
 	corpus, err := ablationCorpus(seed, ablationReducers, vocabPer, 8.3, 1<<20, 16, 16, false)
 	if err != nil {
-		return pt, err
+		return ablationPoint{}, err
 	}
-	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
+	pt, err := runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
 		TableSize: size, Seed: seed, SimWorkers: sim,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("experiments: table size %d: %w", size, err)
 	}
-	pt.Label = fmt.Sprintf("table=%d", size)
-	pt.X = float64(size)
 	return pt, nil
-}
-
-// AblationRegisterSize sweeps the per-tree register table size. Fewer
-// cells mean more collisions (paper §5: fewer cells increase "the
-// possibility that a pair is not aggregated"), degrading reduction while
-// preserving correctness via spillover. Sweep points are independent
-// (the corpus depends only on the seed, not the table size), so
-// parallelism (<= 0 means GOMAXPROCS) shards them across the runner's
-// pool.
-func AblationRegisterSize(seed uint64, sizes []int, parallelism int) ([]AblationPoint, error) {
-	return runner.Map(len(sizes), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationRegisterSizePoint(seed, sizes[shard], ablationVocab, 1)
-	})
 }
 
 // ablationPairsPerPacketPoint runs one packetization bound over its own
 // collision-free corpus.
-func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer, sim int) (AblationPoint, error) {
+func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer, sim int) (ablationPoint, error) {
 	const tableSize = 4096
-	var pt AblationPoint
 	corpus, err := ablationCorpus(seed, ablationReducers, vocabPer, 8.3, tableSize, 16, 16, true)
 	if err != nil {
-		return pt, err
+		return ablationPoint{}, err
 	}
-	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
+	pt, err := runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
 		TableSize: tableSize, MaxPairsPerPacket: pairs, Seed: seed, SimWorkers: sim,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("experiments: pairs/packet %d: %w", pairs, err)
 	}
-	pt.Label = fmt.Sprintf("pairs=%d", pairs)
-	pt.X = float64(pairs)
 	return pt, nil
-}
-
-// AblationPairsPerPacket sweeps the packetization bound (the paper fixes
-// 10 from the 200-300 B parse budget). Fewer pairs per packet inflate
-// packet counts on both sides but leave the data reduction untouched.
-func AblationPairsPerPacket(seed uint64, counts []int, parallelism int) ([]AblationPoint, error) {
-	return runner.Map(len(counts), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationPairsPerPacketPoint(seed, counts[shard], ablationVocab, 1)
-	})
 }
 
 // ablationKeyWidthMaxWordLen keeps words short enough that every swept
@@ -176,19 +132,18 @@ const ablationKeyWidthMaxWordLen = 8
 
 // ablationKeyWidthPoint runs one fixed key width; the pair geometry
 // changes with the width, so each point regenerates its corpus.
-func ablationKeyWidthPoint(seed uint64, width, vocabPer, sim int) (AblationPoint, error) {
+func ablationKeyWidthPoint(seed uint64, width, vocabPer, sim int) (ablationPoint, error) {
 	const tableSize = 4096
-	var pt AblationPoint
 	if width < ablationKeyWidthMaxWordLen {
-		return pt, fmt.Errorf("experiments: key width %d below max word length %d",
+		return ablationPoint{}, fmt.Errorf("experiments: key width %d below max word length %d",
 			width, ablationKeyWidthMaxWordLen)
 	}
 	corpus, err := ablationCorpus(seed, ablationReducers, vocabPer, 8.3, tableSize,
 		ablationKeyWidthMaxWordLen, width, true)
 	if err != nil {
-		return pt, err
+		return ablationPoint{}, err
 	}
-	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
+	pt, err := runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
 		TableSize: tableSize, Seed: seed, SimWorkers: sim,
 		Geometry: wire.PairGeometry{KeyWidth: width},
@@ -196,31 +151,14 @@ func ablationKeyWidthPoint(seed uint64, width, vocabPer, sim int) (AblationPoint
 	if err != nil {
 		return pt, fmt.Errorf("experiments: key width %d: %w", width, err)
 	}
-	pt.Label = fmt.Sprintf("keywidth=%d", width)
-	pt.X = float64(width)
 	return pt, nil
 }
 
-// AblationKeyWidth sweeps the fixed key width. The paper (§5) notes the
-// 16 B fixed keys waste bytes for short words; narrower geometries shrink
-// the on-wire volume for the same aggregation behaviour.
-func AblationKeyWidth(seed uint64, widths []int, parallelism int) ([]AblationPoint, error) {
-	for _, w := range widths {
-		if w < ablationKeyWidthMaxWordLen {
-			return nil, fmt.Errorf("experiments: key width %d below max word length %d",
-				w, ablationKeyWidthMaxWordLen)
-		}
-	}
-	return runner.Map(len(widths), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationKeyWidthPoint(seed, widths[shard], ablationVocab, 1)
-	})
-}
-
-// WorkerCombinerResult contrasts worker-level combining (classic MapReduce
+// workerCombinerResult contrasts worker-level combining (classic MapReduce
 // combiners) with in-network aggregation — the paper's §1 motivation that
 // "aggregation functions are only applied at the worker-level, missing the
 // opportunity of achieving better traffic reduction ratios".
-type WorkerCombinerResult struct {
+type workerCombinerResult struct {
 	// WorkerLevelReductionPct is the pair reduction a mapper-side combiner
 	// achieves alone (unique-per-mapper / emitted).
 	WorkerLevelReductionPct float64
@@ -229,12 +167,8 @@ type WorkerCombinerResult struct {
 	InNetworkReductionPct float64
 }
 
-// AblationWorkerCombiner measures both levels on one corpus.
-func AblationWorkerCombiner(seed uint64) (*WorkerCombinerResult, error) {
-	return ablationWorkerCombiner(seed, 600, 1)
-}
-
-func ablationWorkerCombiner(seed uint64, vocabPer, sim int) (*WorkerCombinerResult, error) {
+// ablationWorkerCombiner measures both levels on one corpus.
+func ablationWorkerCombiner(seed uint64, vocabPer, sim int) (*workerCombinerResult, error) {
 	const (
 		mappers, reducers = 8, 2
 		tableSize         = 4096
@@ -303,7 +237,7 @@ func ablationWorkerCombiner(seed uint64, vocabPer, sim int) (*WorkerCombinerResu
 	for _, r := range res.PerReducer {
 		reducerPairs += r.PairsReceived
 	}
-	return &WorkerCombinerResult{
+	return &workerCombinerResult{
 		WorkerLevelReductionPct: stats.ReductionPct(float64(emitted), float64(afterWorker)),
 		InNetworkReductionPct:   stats.ReductionPct(float64(emitted), float64(reducerPairs)),
 	}, nil

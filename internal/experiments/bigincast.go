@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/daiet/daiet/internal/controller"
-	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/telemetry"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // BigIncast is incast at fabric scale: hundreds of senders across several
@@ -61,20 +58,12 @@ type BigIncastConfig struct {
 	// PoolBytes is each leaf switch's shared memory (default 256 KiB).
 	// Spines get 2× (tier sizing: more ports, more transit).
 	PoolBytes int
-	// PoolReserve is the per-port guaranteed reserve under DT (default
-	// 2 KiB ≈ one full DAIET frame burst).
-	PoolReserve int
 	// Alpha is the DT factor (default 1).
 	Alpha float64
 	// StaticPartition replaces DT with an equal static split of the same
 	// total bytes: reserve = PoolBytes/ports, alpha = 0. The comparison
 	// baseline the figure sweeps against.
 	StaticPartition bool
-	// EdgeQueueBytes sizes the host uplink private queues (default 64 MiB,
-	// the loss-free testbed edge — this figure studies switch memory).
-	EdgeQueueBytes int
-	// Replay bounds each switch's per-tree replay buffer (default 64).
-	Replay int
 	// SimWorkers partitions the fabric into parallel event-engine domains
 	// (0 autotunes to min(rack units, GOMAXPROCS)); results are
 	// byte-identical at any value.
@@ -103,6 +92,16 @@ type BigIncastConfig struct {
 	Telemetry *telemetry.Config
 }
 
+// Fixed parameters of the bigincast fabric: the host uplinks' private
+// queues (the loss-free testbed edge — this figure studies switch memory),
+// the per-port guaranteed reserve under DT (≈ one full DAIET frame burst)
+// and each switch's per-tree replay buffer, in packets.
+const (
+	bigIncastEdgeQueueBytes = 64 << 20
+	bigIncastPoolReserve    = 2 << 10
+	bigIncastReplay         = 64
+)
+
 func (c BigIncastConfig) withDefaults() BigIncastConfig {
 	if c.Racks == 0 {
 		c.Racks = 4
@@ -125,17 +124,8 @@ func (c BigIncastConfig) withDefaults() BigIncastConfig {
 	if c.PoolBytes == 0 {
 		c.PoolBytes = 256 << 10
 	}
-	if c.PoolReserve == 0 {
-		c.PoolReserve = 2 << 10
-	}
 	if c.Alpha == 0 {
 		c.Alpha = 1
-	}
-	if c.EdgeQueueBytes == 0 {
-		c.EdgeQueueBytes = 64 << 20
-	}
-	if c.Replay == 0 {
-		c.Replay = 64
 	}
 	return c
 }
@@ -196,7 +186,7 @@ type BigIncastResult struct {
 func bigIncastPlan(cfg BigIncastConfig) (plan *topology.Plan, senders []netsim.NodeID, reducer netsim.NodeID) {
 	perRack := (cfg.Senders + cfg.Racks - 1) / cfg.Racks
 	plan = topology.LeafSpine(cfg.Racks+1, cfg.Spines, perRack,
-		netsim.LinkConfig{QueueBytes: cfg.EdgeQueueBytes})
+		netsim.LinkConfig{QueueBytes: bigIncastEdgeQueueBytes})
 	plan.Name = fmt.Sprintf("bigincast-%ds-%dr", cfg.Senders, cfg.Racks)
 	senders = plan.Hosts[:cfg.Senders]
 	reducer = plan.Hosts[cfg.Racks*perRack] // first host of the reducer rack
@@ -235,7 +225,7 @@ func bigIncastPlan(cfg BigIncastConfig) (plan *topology.Plan, senders []netsim.N
 		// carving everything. Cap the total carve at a quarter of the
 		// memory so sharing stays the dominant regime (the 128 KiB sweep
 		// point meets a 65-port leaf here).
-		reserve := cfg.PoolReserve
+		reserve := bigIncastPoolReserve
 		if cap := total / (4 * ports); reserve > cap {
 			reserve = cap
 		}
@@ -260,101 +250,37 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	}
 	plan, workers, reducer := bigIncastPlan(cfg)
 
-	nw := netsim.New(cfg.Seed)
-	fb, err := buildDaietFabric(nw, plan)
+	f, err := newFanIn("bigincast", plan, cfg.Seed, cfg.SimWorkers, cfg.Recut, cfg.SyncProtocol)
 	if err != nil {
 		return nil, err
 	}
-	if err := fb.fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
-		return nil, err
-	}
-	nw.SetSyncProtocol(cfg.SyncProtocol)
-	ctl := controller.New(fb.fab, fb.programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	tplan, err := ctl.PlanTree(reducer, workers)
-	if err != nil {
-		return nil, err
-	}
-
 	// Hop-by-hop reliable tree: every switch gates its own tree children
 	// (rack hosts at the leaves, child switches upstream) and retains its
 	// emissions in a replay buffer until its parent acknowledges them.
-	if err := ctl.InstallTree(tplan, controller.TreeOptions{
-		Agg:        core.AggSum,
-		TableSize:  cfg.TableSize,
-		Reliable:   true,
-		RootReplay: cfg.Replay,
-		RootRTO:    500 * time.Microsecond,
-		HopReplay:  true,
-	}); err != nil {
+	// Synchronized fan-in: every worker queues its whole stream at t=0.
+	t := &faninTree{
+		workers: workers, reducer: reducer,
+		pairs: cfg.PairsPerSender, vocab: cfg.Vocab,
+		opts: controller.TreeOptions{
+			TableSize:  cfg.TableSize,
+			RootReplay: bigIncastReplay,
+			HopReplay:  true,
+		},
+		window: 32,
+	}
+	if err := f.addTree(t); err != nil {
 		return nil, err
 	}
-
-	sum, err := core.FuncByID(core.AggSum)
+	tl, err := f.run(500_000_000, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
-	col := core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-	col.Attach(fb.hosts[reducer])
-	col.EnableRootAck()
 
-	// Synchronized fan-in: every worker queues its whole stream at t=0.
-	rcfg := core.ReliableConfig{
-		Window:     32,
-		RTO:        500 * time.Microsecond,
-		MaxRetries: 10_000, // completion, not give-up, is under study
-	}
-	want := map[string]uint32{}
-	senders := make([]*core.ReliableSender, len(workers))
-	for i, w := range workers {
-		mux := core.NewAckMux(fb.hosts[w])
-		s, err := core.NewReliableSender(fb.hosts[w], tplan.TreeID, reducer,
-			wire.DefaultGeometry, 10, rcfg)
-		if err != nil {
-			return nil, err
-		}
-		mux.Register(s)
-		senders[i] = s
-		stream, _ := senderWorkload(cfg.Seed, w, cfg.PairsPerSender, cfg.Vocab, want)
-		for _, kv := range stream {
-			if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-				return nil, err
-			}
-		}
-		s.End()
-	}
-
-	var rec *telemetry.Recorder
-	if cfg.Telemetry != nil {
-		rec = telemetry.NewRecorder(nw, *cfg.Telemetry)
-		for _, swNode := range plan.Switches {
-			if err := rec.WatchSwitch(swNode, fb.programs[swNode]); err != nil {
-				return nil, fmt.Errorf("experiments: bigincast: %w", err)
-			}
-		}
-		rec.EnablePathTrace(plan.Switches)
-		rec.Start()
-		if err := rec.RunSampled(500_000_000); err != nil {
-			return nil, fmt.Errorf("experiments: bigincast: %w", err)
-		}
-	} else if err := nw.Run(500_000_000); err != nil {
-		return nil, fmt.Errorf("experiments: bigincast: %w", err)
-	}
-
-	res := &BigIncastResult{Cfg: cfg, Completion: nw.Now()}
-	if rec != nil {
-		res.Timeline = rec.Timeline()
-	}
-	perSender := make([]float64, len(senders))
-	for i, s := range senders {
-		if !s.Done() {
-			return nil, fmt.Errorf("experiments: bigincast: sender %d incomplete: %v", i, s.Err())
-		}
-		res.Transmissions += s.Stats.Transmissions
-		res.Retransmissions += s.Stats.Retransmissions
-		res.PairsSent += s.Stats.PairsSent
+	nw := f.nw
+	res := &BigIncastResult{Cfg: cfg, Completion: nw.Now(), Timeline: tl}
+	res.Transmissions, res.Retransmissions, res.PairsSent = t.totals()
+	perSender := make([]float64, len(t.senders))
+	for i, s := range t.senders {
 		// Cost per pair, so ±20% stream lengths don't read as unfairness.
 		pairs := s.Stats.PairsSent
 		if pairs == 0 {
@@ -363,25 +289,18 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 		perSender[i] = float64(s.Stats.Transmissions) / float64(pairs)
 	}
 	res.PortFairness = jainIndex(perSender)
-	if !col.Complete() {
-		return nil, fmt.Errorf("experiments: bigincast: collector incomplete (%+v)", col.Stats)
-	}
-	if err := verifyExactOnce(col, want); err != nil {
-		return nil, fmt.Errorf("experiments: bigincast: %w", err)
-	}
 
-	for _, swNode := range tplan.SwitchNodes {
-		if st, ok := fb.programs[swNode].TreeStats(tplan.TreeID); ok {
+	for _, swNode := range t.plan.SwitchNodes {
+		if st, ok := f.programs[swNode].TreeStats(t.plan.TreeID); ok {
 			res.SwitchRetransmissions += st.RootRetransmissions
 			res.FlushStalls += st.FlushStalls
 		}
 	}
 	// Switch-egress admission accounting + pool pressure.
+	var e egress
 	for _, swNode := range plan.Switches {
 		for p := 0; p < nw.NumPorts(swNode); p++ {
-			st := nw.PortStats(swNode, p)
-			res.FramesAttempted += st.TxFrames + st.DropsPool + st.DropsFull + st.DropsLoss
-			res.FramesDropped += st.DropsPool + st.DropsFull + st.DropsLoss
+			e.add(nw, swNode, p)
 		}
 		ps, ok := nw.PoolStats(swNode)
 		if !ok {
@@ -391,7 +310,8 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 			res.PoolHighWaterPct = pct
 		}
 	}
-	res.DropRatePct = 100 * stats.Ratio(float64(res.FramesDropped), float64(res.FramesAttempted))
+	res.FramesAttempted, res.FramesDropped = e.attempted, e.dropped
+	res.DropRatePct = 100 * stats.Ratio(float64(e.dropped), float64(e.attempted))
 	res.Events = nw.Processed()
 	res.Frames = nw.TotalStats().TxFrames
 	res.ArenaStats = nw.ArenaStats()
@@ -401,23 +321,10 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	return res, nil
 }
 
-// bigIncastCache memoizes trials shared across sweep points: the loss-free
+// bigIncastRuns memoizes trials shared across sweep points: the loss-free
 // reference (one per seed) and the static-partition twins (one per seed ×
-// pool size; static ignores alpha, which the sweep varies). BigIncast is
-// deterministic in its config, so concurrent duplicates are benign.
-var bigIncastCache sync.Map // BigIncastConfig -> *BigIncastResult
-
-func bigIncastCached(cfg BigIncastConfig) (*BigIncastResult, error) {
-	if v, ok := bigIncastCache.Load(cfg); ok {
-		return v.(*BigIncastResult), nil
-	}
-	res, err := BigIncast(cfg)
-	if err != nil {
-		return nil, err
-	}
-	bigIncastCache.Store(cfg, res)
-	return res, nil
-}
+// pool size; static ignores alpha, which the sweep varies).
+var bigIncastRuns memo[BigIncastConfig, *BigIncastResult]
 
 func init() {
 	type pt struct {
@@ -449,11 +356,9 @@ func init() {
 			"port_fairness",
 		},
 		Run: func(p Point, tr Trial) (map[string]float64, error) {
-			var s pt
-			for i := range sweep {
-				if pts[i].Label == p.Label {
-					s = sweep[i]
-				}
+			s, err := pointOf("bigincast", pts, sweep, p.Label)
+			if err != nil {
+				return nil, err
 			}
 			base := BigIncastConfig{
 				Seed:           tr.Seed,
@@ -478,7 +383,7 @@ func init() {
 			static := base
 			static.PoolBytes = s.poolKiB << 10
 			static.StaticPartition = true
-			statRes, err := bigIncastCached(static)
+			statRes, err := bigIncastRuns.get(static, BigIncast)
 			if err != nil {
 				return nil, err
 			}
@@ -487,7 +392,7 @@ func init() {
 			ref := base
 			ref.PoolBytes = 64 << 20
 			ref.Alpha = 8
-			refRes, err := bigIncastCached(ref)
+			refRes, err := bigIncastRuns.get(ref, BigIncast)
 			if err != nil {
 				return nil, err
 			}

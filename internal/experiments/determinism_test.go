@@ -26,36 +26,6 @@ func assertIdentical(t *testing.T, name, seq, par string, degree int) {
 	}
 }
 
-func TestWorkerSweepDeterministic(t *testing.T) {
-	seqPts, err := Figure1WorkerSweep(7, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := fmt.Sprintf("%+v", seqPts)
-	for _, d := range degrees {
-		parPts, err := Figure1WorkerSweep(7, 30, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, "worker sweep", seq, fmt.Sprintf("%+v", parPts), d)
-	}
-}
-
-func TestFigure1cDeterministic(t *testing.T) {
-	render := func(parallelism int) string {
-		fig, err := Figure1c(Figure1cConfig{Seed: 2, Scale: 12, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v %+v %+v v=%d e=%d",
-			fig.PageRank, fig.SSSP, fig.WCC, fig.Vertices, fig.Edges)
-	}
-	seq := render(1)
-	for _, d := range degrees {
-		assertIdentical(t, "figure 1(c)", seq, render(d), d)
-	}
-}
-
 func TestFigure3Deterministic(t *testing.T) {
 	// Everything except the wall-clock reduce timings must match exactly:
 	// the summaries, raw samples, corpus facts, and switch counters.
@@ -72,36 +42,6 @@ func TestFigure3Deterministic(t *testing.T) {
 	seq := render(1)
 	for _, d := range degrees {
 		assertIdentical(t, "figure 3", seq, render(d), d)
-	}
-}
-
-func TestAblationsDeterministic(t *testing.T) {
-	renderReg := func(parallelism int) string {
-		pts, err := AblationRegisterSize(3, []int{64, 1024}, parallelism)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", pts)
-	}
-	renderPairs := func(parallelism int) string {
-		pts, err := AblationPairsPerPacket(3, []int{2, 10}, parallelism)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", pts)
-	}
-	renderWidth := func(parallelism int) string {
-		pts, err := AblationKeyWidth(3, []int{8, 16}, parallelism)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", pts)
-	}
-	seqReg, seqPairs, seqWidth := renderReg(1), renderPairs(1), renderWidth(1)
-	for _, d := range degrees {
-		assertIdentical(t, "register-size ablation", seqReg, renderReg(d), d)
-		assertIdentical(t, "pairs-per-packet ablation", seqPairs, renderPairs(d), d)
-		assertIdentical(t, "key-width ablation", seqWidth, renderWidth(d), d)
 	}
 }
 
@@ -224,29 +164,6 @@ func TestIncastSimWorkersDeterministic(t *testing.T) {
 	seq := render(1)
 	for _, w := range simWorkerCounts {
 		assertIdentical(t, "incast sim-workers", seq, render(w), w)
-	}
-}
-
-// TestIncastPoolSimWorkersDeterministic is the same contract with the
-// switch running shared-memory DT admission (IncastConfig.PoolBytes): the
-// ACK and flush streams contend in one pool, and every counter still
-// replays identically across domain counts.
-func TestIncastPoolSimWorkersDeterministic(t *testing.T) {
-	render := func(simWorkers int) string {
-		res, err := Incast(IncastConfig{
-			Seed: 3, Senders: 8, PairsPerSender: 300,
-			QueueBytes: 4096, PoolBytes: 16 << 10, PoolAlpha: 0.5,
-			SimWorkers: simWorkers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Cfg.SimWorkers = 0
-		return fmt.Sprintf("%+v", *res)
-	}
-	seq := render(1)
-	for _, w := range simWorkerCounts {
-		assertIdentical(t, "incast pooled sim-workers", seq, render(w), w)
 	}
 }
 

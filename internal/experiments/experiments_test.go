@@ -1,85 +1,133 @@
 package experiments
 
 import (
+	"math"
 	"testing"
+
+	"github.com/daiet/daiet/internal/graphgen"
+	"github.com/daiet/daiet/internal/mlps"
+	"github.com/daiet/daiet/internal/pregel"
+	"github.com/daiet/daiet/internal/stats"
 )
 
-func TestFigure1aBand(t *testing.T) {
-	fig, err := Figure1a(7, 60)
+// overlapRun trains cfg over the 4000-sample dataset Figures 1(a)/1(b) use
+// and returns the per-step overlap series with the first and last loss.
+func overlapRun(t *testing.T, cfg mlps.TrainConfig) (overlap []float64, firstLoss, lastLoss float64) {
+	t.Helper()
+	res, err := mlps.Train(mlps.SyntheticMNIST(cfg.Seed, 4000), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Series.Len() != 60 {
-		t.Fatalf("points %d", fig.Series.Len())
+	for _, m := range res.Metrics {
+		overlap = append(overlap, m.OverlapPct)
+	}
+	return overlap, res.Metrics[0].Loss, res.Metrics[len(res.Metrics)-1].Loss
+}
+
+func TestFigure1aBand(t *testing.T) {
+	cfg := mlps.Figure1aConfig(7)
+	cfg.Steps = 60
+	overlap, firstLoss, lastLoss := overlapRun(t, cfg)
+	if len(overlap) != 60 {
+		t.Fatalf("points %d", len(overlap))
 	}
 	// Shorter run, wider tolerance than the full assertion in mlps tests.
-	if fig.Summary.Mean < 30 || fig.Summary.Mean > 55 {
-		t.Fatalf("SGD overlap mean %.1f%% outside [30, 55]", fig.Summary.Mean)
+	if mean := stats.Summarize(overlap).Mean; mean < 30 || mean > 55 {
+		t.Fatalf("SGD overlap mean %.1f%% outside [30, 55]", mean)
 	}
-	if fig.LastLoss >= fig.FirstLoss {
-		t.Fatalf("loss did not fall: %.3f -> %.3f", fig.FirstLoss, fig.LastLoss)
+	if lastLoss >= firstLoss {
+		t.Fatalf("loss did not fall: %.3f -> %.3f", firstLoss, lastLoss)
 	}
 }
 
 func TestFigure1bBand(t *testing.T) {
-	fig, err := Figure1b(7, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Summary.Mean < 55 || fig.Summary.Mean > 80 {
-		t.Fatalf("Adam overlap mean %.1f%% outside [55, 80]", fig.Summary.Mean)
+	cfg := mlps.Figure1bConfig(7)
+	cfg.Steps = 40
+	overlap, _, _ := overlapRun(t, cfg)
+	if mean := stats.Summarize(overlap).Mean; mean < 55 || mean > 80 {
+		t.Fatalf("Adam overlap mean %.1f%% outside [55, 80]", mean)
 	}
 }
 
+// TestFigure1WorkerSweepMonotone is the fig1-workers claim on one shared
+// dataset: overlap increases from two to five workers.
 func TestFigure1WorkerSweepMonotone(t *testing.T) {
-	pts, err := Figure1WorkerSweep(7, 40, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("points %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].OverlapPct <= pts[i-1].OverlapPct {
-			t.Fatalf("overlap not increasing: %+v", pts)
+	ds := mlps.SyntheticMNIST(7, 2500)
+	var prev float64
+	for workers := 2; workers <= 5; workers++ {
+		cfg := mlps.Figure1aConfig(7)
+		cfg.Workers, cfg.Steps = workers, 40
+		res, err := mlps.Train(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := mlps.MeanOverlap(res.Metrics)
+		if workers > 2 && got <= prev {
+			t.Fatalf("overlap not increasing: %d workers %.2f%%, %d workers %.2f%%",
+				workers-1, prev, workers, got)
+		}
+		prev = got
 	}
 }
 
+// TestFigure1cShape runs the fig1c spec's pregel calls on a 2^12-vertex
+// graph and checks each algorithm's per-iteration traffic-reduction shape.
 func TestFigure1cShape(t *testing.T) {
-	fig, err := Figure1c(Figure1cConfig{Seed: 2, Scale: 12})
+	g, err := fig1cGraph(graphgen.RMATConfig{Scale: 12, EdgeFactor: 14, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.PageRank.Len() != 10 {
-		t.Fatalf("pagerank points %d", fig.PageRank.Len())
+	pcfg := pregel.Config{Workers: 4, MaxSupersteps: 10}
+	series := func(sts []pregel.SuperstepStats) []float64 {
+		ys := make([]float64, len(sts))
+		for i, st := range sts {
+			ys[i] = st.TrafficReduction
+		}
+		return ys
+	}
+	span := func(ys []float64) (lo, hi float64) {
+		lo, hi = ys[0], ys[0]
+		for _, y := range ys {
+			lo, hi = math.Min(lo, y), math.Max(hi, y)
+		}
+		return lo, hi
+	}
+	pagerank := series(pregel.PageRank(g, pcfg).Stats)
+	ssspRes, err := pregel.SSSP(g, g.HighestDegreeVertex(), pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sssp := series(ssspRes.Stats)
+	wcc := series(pregel.WCC(g, pcfg).Stats)
+
+	if len(pagerank) != 10 {
+		t.Fatalf("pagerank points %d", len(pagerank))
 	}
 	// PageRank flat and high.
-	min, max := fig.PageRank.YRange()
-	if min < 0.5 || max-min > 0.05 {
-		t.Fatalf("pagerank band [%.3f, %.3f] not flat/high", min, max)
+	if lo, hi := span(pagerank); lo < 0.5 || hi-lo > 0.05 {
+		t.Fatalf("pagerank band [%.3f, %.3f] not flat/high", lo, hi)
 	}
 	// SSSP low start, high later.
-	if fig.SSSP.Y[0] > 0.5 {
-		t.Fatalf("sssp starts at %.3f", fig.SSSP.Y[0])
+	if sssp[0] > 0.5 {
+		t.Fatalf("sssp starts at %.3f", sssp[0])
 	}
-	if _, ssMax := fig.SSSP.YRange(); ssMax < 0.5 {
-		t.Fatalf("sssp never climbs (max %.3f)", ssMax)
+	if _, hi := span(sssp); hi < 0.5 {
+		t.Fatalf("sssp never climbs (max %.3f)", hi)
 	}
 	// WCC high start, decaying: compare first iteration against the last
 	// with traffic.
-	if fig.WCC.Y[0] < 0.5 {
-		t.Fatalf("wcc starts at %.3f", fig.WCC.Y[0])
+	if wcc[0] < 0.5 {
+		t.Fatalf("wcc starts at %.3f", wcc[0])
 	}
-	last := fig.WCC.Y[0]
-	for i := len(fig.WCC.Y) - 1; i >= 0; i-- {
-		if fig.WCC.Y[i] > 0 {
-			last = fig.WCC.Y[i]
+	last := wcc[0]
+	for i := len(wcc) - 1; i >= 0; i-- {
+		if wcc[i] > 0 {
+			last = wcc[i]
 			break
 		}
 	}
-	if last >= fig.WCC.Y[0] {
-		t.Fatalf("wcc did not decay: %.3f -> %.3f", fig.WCC.Y[0], last)
+	if last >= wcc[0] {
+		t.Fatalf("wcc did not decay: %.3f -> %.3f", wcc[0], last)
 	}
 }
 
@@ -115,11 +163,24 @@ func TestFigure3PaperBands(t *testing.T) {
 	}
 }
 
-func TestAblationRegisterSizeMonotone(t *testing.T) {
-	pts, err := AblationRegisterSize(3, []int{64, 512, 4096}, 0)
-	if err != nil {
-		t.Fatal(err)
+// ablationSweep runs one ablation point helper over xs at the full
+// ablation vocabulary, sequentially.
+func ablationSweep(t *testing.T, point func(seed uint64, x, vocabPer, sim int) (ablationPoint, error),
+	xs ...int) []ablationPoint {
+	t.Helper()
+	pts := make([]ablationPoint, len(xs))
+	for i, x := range xs {
+		pt, err := point(3, x, ablationVocab, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = pt
 	}
+	return pts
+}
+
+func TestAblationRegisterSizeMonotone(t *testing.T) {
+	pts := ablationSweep(t, ablationRegisterSizePoint, 64, 512, 4096)
 	// Bigger tables, fewer spills.
 	for i := 1; i < len(pts); i++ {
 		if pts[i].SpilledPairs > pts[i-1].SpilledPairs {
@@ -137,10 +198,7 @@ func TestAblationRegisterSizeMonotone(t *testing.T) {
 }
 
 func TestAblationPairsPerPacket(t *testing.T) {
-	pts, err := AblationPairsPerPacket(3, []int{2, 10}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := ablationSweep(t, ablationPairsPerPacketPoint, 2, 10)
 	// Data reduction is invariant to packetization.
 	if diff := pts[0].DataReductionPct - pts[1].DataReductionPct; diff > 2 || diff < -2 {
 		t.Fatalf("data reduction moved with packetization: %+v", pts)
@@ -152,21 +210,18 @@ func TestAblationPairsPerPacket(t *testing.T) {
 }
 
 func TestAblationKeyWidth(t *testing.T) {
-	pts, err := AblationKeyWidth(3, []int{8, 16}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := ablationSweep(t, ablationKeyWidthPoint, 8, 16)
 	// Same aggregation behaviour regardless of width.
 	if pts[0].ReducerPairs != pts[1].ReducerPairs {
 		t.Fatalf("pair counts differ: %+v", pts)
 	}
-	if _, err := AblationKeyWidth(3, []int{4}, 0); err == nil {
+	if _, err := ablationKeyWidthPoint(3, 4, ablationVocab, 1); err == nil {
 		t.Fatal("width below word length must fail")
 	}
 }
 
 func TestAblationWorkerCombiner(t *testing.T) {
-	res, err := AblationWorkerCombiner(3)
+	res, err := ablationWorkerCombiner(3, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/daiet/daiet/internal/faults"
@@ -102,35 +101,28 @@ func faultsSplits(cfg FaultScenarioConfig) ([][]string, error) {
 	return corpus.Splits(cfg.Mappers), nil
 }
 
-// faultsRefCache memoizes fault-free reference runs: every point of one
-// trial shares the same reference (the fault knobs are zeroed out of the
-// key), so the sweep pays for it once per (seed, size, workers) config.
-var faultsRefCache sync.Map // FaultScenarioConfig -> *mapreduce.FTReport
+// faultsRefs memoizes fault-free reference runs: every point of one trial
+// shares the same reference (the fault knobs are zeroed out of the key),
+// so the sweep pays for it once per (seed, size, workers) config.
+var faultsRefs memo[FaultScenarioConfig, *mapreduce.FTReport]
 
 func faultsReference(cfg FaultScenarioConfig) (*mapreduce.FTReport, error) {
-	key := cfg
-	key.Crashes, key.LinkFlaps, key.Stragglers, key.TimeoutFrac = 0, 0, 0, 0
-	if v, ok := faultsRefCache.Load(key); ok {
-		return v.(*mapreduce.FTReport), nil
-	}
-	cl, err := faultsCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	splits, err := faultsSplits(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The schedule-less reference needs no recovery, so disarm the
-	// round-timeout backstop (its fixed default would re-drive healthy
-	// rounds once -scale pushes completion past it).
-	rep, err := cl.RunJobFT(mapreduce.WordCount, splits, nil,
-		mapreduce.FTConfig{RoundTimeout: time.Hour})
-	if err != nil {
-		return nil, err
-	}
-	faultsRefCache.Store(key, rep)
-	return rep, nil
+	cfg.Crashes, cfg.LinkFlaps, cfg.Stragglers, cfg.TimeoutFrac = 0, 0, 0, 0
+	return faultsRefs.get(cfg, func(cfg FaultScenarioConfig) (*mapreduce.FTReport, error) {
+		cl, err := faultsCluster(cfg)
+		if err != nil {
+			return nil, err
+		}
+		splits, err := faultsSplits(cfg)
+		if err != nil {
+			return nil, err
+		}
+		// The schedule-less reference needs no recovery, so disarm the
+		// round-timeout backstop (its fixed default would re-drive healthy
+		// rounds once -scale pushes completion past it).
+		return cl.RunJobFT(mapreduce.WordCount, splits, nil,
+			mapreduce.FTConfig{RoundTimeout: time.Hour})
+	})
 }
 
 // FaultScenario runs one fault-injection trial and returns its report.

@@ -7,31 +7,18 @@ package experiments
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"github.com/daiet/daiet/internal/graphgen"
 	"github.com/daiet/daiet/internal/mlps"
 	"github.com/daiet/daiet/internal/pregel"
-	"github.com/daiet/daiet/internal/runner"
 	"github.com/daiet/daiet/internal/stats"
 )
 
-// OverlapFigure is Figures 1(a)/1(b): per-step overlap plus headline
-// numbers.
-type OverlapFigure struct {
-	Name    string
-	Series  *stats.Series // x: step, y: overlap %
-	Summary stats.Summary
-	// Loss tracks training progress, a sanity signal that the workload is
-	// real (first and last values).
-	FirstLoss, LastLoss float64
-	FinalAccuracy       float64
-}
-
-// overlapFigure runs one training config and packages the series.
-func overlapFigure(name string, cfg mlps.TrainConfig, samples int) (*OverlapFigure, error) {
-	ds := mlps.SyntheticMNIST(cfg.Seed, samples)
-	res, err := mlps.Train(ds, cfg)
+// overlapFigure trains one config and reports the Figure 1(a)/1(b)
+// headline numbers: the mean per-step overlap, the final accuracy, and the
+// first and last loss (a sanity signal that the workload is real).
+func overlapFigure(name string, cfg mlps.TrainConfig, samples int) (map[string]float64, error) {
+	res, err := mlps.Train(mlps.SyntheticMNIST(cfg.Seed, samples), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -41,177 +28,36 @@ func overlapFigure(name string, cfg mlps.TrainConfig, samples int) (*OverlapFigu
 		return nil, fmt.Errorf("experiments: %s: training returned no metric rows (config %+v)",
 			name, cfg)
 	}
-	fig := &OverlapFigure{Name: name, Series: stats.NewSeries(name)}
-	var ys []float64
-	for _, m := range res.Metrics {
-		fig.Series.Add(float64(m.Step), m.OverlapPct)
-		ys = append(ys, m.OverlapPct)
+	ys := make([]float64, len(res.Metrics))
+	for i, m := range res.Metrics {
+		ys[i] = m.OverlapPct
 	}
-	fig.Summary = stats.Summarize(ys)
-	fig.FirstLoss = res.Metrics[0].Loss
-	fig.LastLoss = res.Metrics[len(res.Metrics)-1].Loss
-	fig.FinalAccuracy = res.FinalAccuracy
-	return fig, nil
-}
-
-// Figure1a reproduces Figure 1(a): SGD (mini-batch 3, 5 workers) overlap
-// over 200 steps. The paper reports ~34-50%, average ~42.5%.
-func Figure1a(seed uint64, steps int) (*OverlapFigure, error) {
-	cfg := mlps.Figure1aConfig(seed)
-	if steps > 0 {
-		cfg.Steps = steps
-	}
-	return overlapFigure("sgd-overlap", cfg, 4000)
-}
-
-// Figure1b reproduces Figure 1(b): Adam (mini-batch 100, 5 workers) overlap
-// over 200 steps. The paper reports ~62-72%, average ~66.5%.
-func Figure1b(seed uint64, steps int) (*OverlapFigure, error) {
-	cfg := mlps.Figure1bConfig(seed)
-	if steps > 0 {
-		cfg.Steps = steps
-	}
-	return overlapFigure("adam-overlap", cfg, 4000)
-}
-
-// WorkerSweepPoint is one point of the worker-count side experiment.
-type WorkerSweepPoint struct {
-	Workers    int
-	OverlapPct float64
-}
-
-// Figure1WorkerSweep reproduces the paper's side observation: "increasing
-// the number of workers from two to five ... the overlap increases". Each
-// worker count is an independent training run; parallelism (<= 0 means
-// GOMAXPROCS) shards them across the runner's pool. The dataset is shared
-// read-only, and mlps.Train seeds each run from cfg.Seed alone, so results
-// are identical at any degree.
-func Figure1WorkerSweep(seed uint64, steps, parallelism int) ([]WorkerSweepPoint, error) {
-	ds := mlps.SyntheticMNIST(seed, 2500)
-	workerCounts := []int{2, 3, 4, 5}
-	return runner.Map(len(workerCounts), parallelism, func(shard int) (WorkerSweepPoint, error) {
-		cfg := mlps.Figure1aConfig(seed)
-		cfg.Workers = workerCounts[shard]
-		if steps > 0 {
-			cfg.Steps = steps
-		} else {
-			cfg.Steps = 100
-		}
-		res, err := mlps.Train(ds, cfg)
-		if err != nil {
-			return WorkerSweepPoint{}, err
-		}
-		return WorkerSweepPoint{Workers: cfg.Workers, OverlapPct: mlps.MeanOverlap(res.Metrics)}, nil
-	})
-}
-
-// GraphFigure is Figure 1(c): per-iteration traffic reduction ratios for
-// the three graph algorithms.
-type GraphFigure struct {
-	PageRank *stats.Series
-	SSSP     *stats.Series
-	WCC      *stats.Series
-	// Edges/Vertices describe the generated graph.
-	Vertices, Edges int
-}
-
-// Figure1cConfig sizes the graph experiment.
-type Figure1cConfig struct {
-	Seed       uint64
-	Scale      int // 2^Scale vertices (default 16; LiveJournal would be ~23)
-	EdgeFactor int // default 14 (LiveJournal's edges/vertex)
-	Workers    int // default 4 (paper: GPS on 4 machines)
-	Iterations int // default 10 (Figure 1(c) x-axis)
-	// Parallelism shards the three graph algorithms across the runner's
-	// pool (<= 0: GOMAXPROCS, 1: sequential).
-	Parallelism int
-}
-
-func (c Figure1cConfig) withDefaults() Figure1cConfig {
-	if c.Scale == 0 {
-		c.Scale = 16
-	}
-	if c.EdgeFactor == 0 {
-		c.EdgeFactor = 14
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.Iterations == 0 {
-		c.Iterations = 10
-	}
-	return c
-}
-
-// Figure1c reproduces Figure 1(c): PageRank flat ~0.9, SSSP climbing from
-// near zero, WCC starting high and decaying; overall band 0.48-0.93 in the
-// paper.
-func Figure1c(cfg Figure1cConfig) (*GraphFigure, error) {
-	cfg = cfg.withDefaults()
-	g, err := graphgen.RMAT(graphgen.RMATConfig{
-		Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	pcfg := pregel.Config{Workers: cfg.Workers, MaxSupersteps: cfg.Iterations}
-
-	fig := &GraphFigure{
-		PageRank: stats.NewSeries("PageRank"),
-		SSSP:     stats.NewSeries("SSSP"),
-		WCC:      stats.NewSeries("WCC"),
-		Vertices: g.N,
-		Edges:    g.NumEdges(),
-	}
-	// Materialize the graph's lazily-cached views before fanning out: the
-	// shards below share g read-only and must not race on the caches.
-	g.Und()
-	src := g.HighestDegreeVertex()
-
-	algos := []func() ([]pregel.SuperstepStats, error){
-		func() ([]pregel.SuperstepStats, error) { return pregel.PageRank(g, pcfg).Stats, nil },
-		func() ([]pregel.SuperstepStats, error) {
-			res, err := pregel.SSSP(g, src, pcfg)
-			if err != nil {
-				return nil, err
-			}
-			return res.Stats, nil
-		},
-		func() ([]pregel.SuperstepStats, error) { return pregel.WCC(g, pcfg).Stats, nil },
-	}
-	perAlgo, err := runner.Map(len(algos), cfg.Parallelism,
-		func(shard int) ([]pregel.SuperstepStats, error) { return algos[shard]() })
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range []*stats.Series{fig.PageRank, fig.SSSP, fig.WCC} {
-		for _, st := range perAlgo[i] {
-			s.Add(float64(st.Superstep), st.TrafficReduction)
-		}
-	}
-	return fig, nil
+	return map[string]float64{
+		"mean_overlap_pct": stats.Summarize(ys).Mean,
+		"final_accuracy":   res.FinalAccuracy,
+		"first_loss":       res.Metrics[0].Loss,
+		"last_loss":        res.Metrics[len(res.Metrics)-1].Loss,
+	}, nil
 }
 
 // ---- sweep-framework specs ----
 
-// fig1cGraphCache memoizes R-MAT graphs across the fig1c points: seeds are
+// fig1cGraphs memoizes R-MAT graphs across the fig1c points: seeds are
 // paired across the three algorithm points, so each trial would otherwise
 // rebuild the identical graph three times. The graph's one lazily-cached
 // view (the undirected adjacency, Und) is materialized before storing, so
 // concurrent points share the cached graph read-only.
-var fig1cGraphCache sync.Map // graphgen.RMATConfig -> *graphgen.Graph
+var fig1cGraphs memo[graphgen.RMATConfig, *graphgen.Graph]
 
 func fig1cGraph(cfg graphgen.RMATConfig) (*graphgen.Graph, error) {
-	if v, ok := fig1cGraphCache.Load(cfg); ok {
-		return v.(*graphgen.Graph), nil
-	}
-	g, err := graphgen.RMAT(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g.Und()
-	fig1cGraphCache.Store(cfg, g)
-	return g, nil
+	return fig1cGraphs.get(cfg, func(cfg graphgen.RMATConfig) (*graphgen.Graph, error) {
+		g, err := graphgen.RMAT(cfg)
+		if err != nil {
+			return nil, err
+		}
+		g.Und()
+		return g, nil
+	})
 }
 
 // overlapSpec builds the Spec shared by Figures 1(a) and 1(b): one axis
@@ -229,16 +75,7 @@ func overlapSpec(name, label, title string, mkCfg func(seed uint64) mlps.TrainCo
 			// The dataset must cover one full step for every worker plus
 			// held-out samples, whatever the scale.
 			samples := scaledInt(4000, tr.Scale, 2*cfg.Workers*cfg.BatchSize)
-			fig, err := overlapFigure(name, cfg, samples)
-			if err != nil {
-				return nil, err
-			}
-			return map[string]float64{
-				"mean_overlap_pct": fig.Summary.Mean,
-				"final_accuracy":   fig.FinalAccuracy,
-				"first_loss":       fig.FirstLoss,
-				"last_loss":        fig.LastLoss,
-			}, nil
+			return overlapFigure(name, cfg, samples)
 		},
 	}
 }

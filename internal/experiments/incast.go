@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/daiet/daiet/internal/controller"
-	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // Incast is the first scenario beyond the paper's evaluation: synchronized
@@ -44,40 +41,15 @@ type IncastConfig struct {
 	// PairsPerSender is the mean stream length; each sender draws its
 	// actual length within ±20% from its own seed stream (default 1200).
 	PairsPerSender int
-	// Vocab is the shared key space; overlapping keys make the in-network
-	// aggregation real (default 2048).
-	Vocab int
-	// QueueBytes sizes the swept worker→switch per-port queues, the same
-	// quantity ClusterConfig.QueueBytes sets fabric-wide (default 64 MiB,
-	// i.e. the loss-free testbed).
+	// QueueBytes sizes every host's per-port queue, the same quantity
+	// ClusterConfig.QueueBytes sets fabric-wide (default 64 MiB, i.e. the
+	// loss-free testbed). The worker→switch edge and the switch→reducer
+	// root hop are swept together.
 	QueueBytes int
-	// RootQueueBytes sizes the switch→reducer hop. Default: QueueBytes —
-	// the root hop is swept along with the edge, protected by the
-	// switch-side replay buffer (RootReplay); it no longer needs the
-	// testbed-sized exemption earlier revisions kept.
-	RootQueueBytes int
-	// RootReplay bounds the switch's per-tree replay buffer for the
-	// switch→reducer hop (default 32 packets).
-	RootReplay int
 	// StartJitter staggers sender start times uniformly over [0,
 	// StartJitter], drawn deterministically per (seed, sender). 0 keeps
 	// the fully synchronized fan-in.
 	StartJitter time.Duration
-	TableSize   int // per-tree register cells (default 4096)
-	// PoolBytes, when > 0, replaces the switch's per-port egress FIFOs with
-	// one shared buffer memory of this size under Dynamic-Threshold
-	// admission (netsim.PoolConfig): the ACK streams back to every worker
-	// and the flush stream to the reducer then contend for one memory, the
-	// way a real shared-memory ASIC behaves. 0 keeps the historical
-	// per-port QueueBytes model, so the registered incast figures
-	// reproduce bit-for-bit. PoolReserve/PoolAlpha parameterize the DT
-	// (defaults 2 KiB and 1.0; pass -1 for an explicit zero — no reserve
-	// floor / no borrowing — since 0 means "default" here). Host uplinks
-	// always keep private queues — QueueBytes remains the standalone-link
-	// fallback.
-	PoolBytes   int
-	PoolReserve int
-	PoolAlpha   float64
 	// SimWorkers partitions the fabric into parallel event-engine domains
 	// (0 autotunes; a single-switch plan autotunes to sequential). When
 	// cut explicitly, the senders themselves spread across domains;
@@ -88,6 +60,15 @@ type IncastConfig struct {
 	Recut topology.RecutConfig
 }
 
+// Fixed parameters of the incast tree: the shared key space (overlapping
+// keys make the in-network aggregation real), the per-tree register cells
+// and the switch's replay buffer for the switch→reducer hop, in packets.
+const (
+	incastVocab      = 2048
+	incastTableSize  = 4096
+	incastRootReplay = 32
+)
+
 func (c IncastConfig) withDefaults() IncastConfig {
 	if c.Senders == 0 {
 		c.Senders = 24
@@ -95,34 +76,8 @@ func (c IncastConfig) withDefaults() IncastConfig {
 	if c.PairsPerSender == 0 {
 		c.PairsPerSender = 1200
 	}
-	if c.Vocab == 0 {
-		c.Vocab = 2048
-	}
 	if c.QueueBytes == 0 {
 		c.QueueBytes = 64 << 20
-	}
-	if c.RootQueueBytes == 0 {
-		c.RootQueueBytes = c.QueueBytes
-	}
-	if c.RootReplay == 0 {
-		c.RootReplay = 32
-	}
-	if c.TableSize == 0 {
-		c.TableSize = 4096
-	}
-	if c.PoolBytes > 0 {
-		switch {
-		case c.PoolReserve == 0:
-			c.PoolReserve = 2 << 10
-		case c.PoolReserve < 0:
-			c.PoolReserve = 0 // explicit: no reserve floor
-		}
-		switch {
-		case c.PoolAlpha == 0:
-			c.PoolAlpha = 1
-		case c.PoolAlpha < 0:
-			c.PoolAlpha = 0 // explicit: no borrowing (static reserves)
-		}
 	}
 	return c
 }
@@ -131,8 +86,7 @@ func (c IncastConfig) withDefaults() IncastConfig {
 type IncastResult struct {
 	Cfg IncastConfig
 
-	// Admission accounting: the worker→switch edge, plus (in shared-memory
-	// mode, PoolBytes > 0) the switch's own pooled egress ports.
+	// Admission accounting on the worker→switch edge.
 	FramesAttempted uint64
 	FramesDropped   uint64
 	DropRatePct     float64
@@ -152,235 +106,98 @@ type IncastResult struct {
 // is virtual time, and drops come from queue admission, not randomness.
 func Incast(cfg IncastConfig) (*IncastResult, error) {
 	cfg = cfg.withDefaults()
-
-	// Hand-build the plan so the edge and root hops get different queues.
-	sw := topology.SwitchBase
-	plan := &topology.Plan{Name: "incast", Switches: []netsim.NodeID{sw}}
-	for i := 0; i < cfg.Senders+1; i++ {
-		h := topology.HostBase + netsim.NodeID(i)
-		plan.Hosts = append(plan.Hosts, h)
-		lc := netsim.LinkConfig{QueueBytes: cfg.QueueBytes}
-		if i == cfg.Senders { // the reducer's link: unswept
-			lc.QueueBytes = cfg.RootQueueBytes
-		}
-		plan.Links = append(plan.Links, topology.Link{A: h, B: sw, Cfg: lc})
-	}
-	if cfg.PoolBytes > 0 {
-		// Shared-memory mode: the switch's egress queues (per-worker ACK
-		// streams + the flush stream to the reducer) share one DT pool.
-		// Reserve floors are hard-carved, so the per-port floor cannot
-		// exceed an equal split of the memory across the switch's
-		// cfg.Senders+1 ports — clamp the default when the fan-in is wide.
-		reserve := cfg.PoolReserve
-		if split := cfg.PoolBytes / (cfg.Senders + 1); reserve > split {
-			reserve = split
-		}
-		plan.SetPool(sw, netsim.PoolConfig{
-			TotalBytes:   cfg.PoolBytes,
-			ReserveBytes: reserve,
-			Alpha:        cfg.PoolAlpha,
-		})
-	}
+	plan := topology.SingleSwitch(cfg.Senders+1, netsim.LinkConfig{QueueBytes: cfg.QueueBytes})
 	workers, reducer := plan.Hosts[:cfg.Senders], plan.Hosts[cfg.Senders]
 
-	nw := netsim.New(cfg.Seed)
-	fb, err := buildDaietFabric(nw, plan)
-	if err != nil {
-		return nil, err
-	}
-	programs, hosts, fab := fb.programs, fb.hosts, fb.fab
-	if err := fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
-		return nil, err
-	}
-	ctl := controller.New(fab, programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	tplan, err := ctl.PlanTree(reducer, workers)
+	f, err := newFanIn("incast", plan, cfg.Seed, cfg.SimWorkers, cfg.Recut, netsim.SyncEIT)
 	if err != nil {
 		return nil, err
 	}
 	// The single switch is the tree root: it gates the workers for
 	// exactly-once aggregation, and its flush hop to the reducer is
 	// protected by the bounded replay buffer instead of by testbed-sized
-	// queues.
-	if err := ctl.InstallTree(tplan, controller.TreeOptions{
-		Agg:        core.AggSum,
-		TableSize:  cfg.TableSize,
-		Reliable:   true,
-		RootReplay: cfg.RootReplay,
-		RootRTO:    500 * time.Microsecond,
-	}); err != nil {
+	// queues. Go-back-N keeps at most 32 packets in flight per sender;
+	// under small buffers even that burst overflows the edge queue.
+	t := &faninTree{
+		workers: workers, reducer: reducer,
+		pairs: cfg.PairsPerSender, vocab: incastVocab,
+		opts:   controller.TreeOptions{TableSize: incastTableSize, RootReplay: incastRootReplay},
+		window: 32,
+		jitter: cfg.StartJitter,
+	}
+	if err := f.addTree(t); err != nil {
+		return nil, err
+	}
+	if _, err := f.run(200_000_000, nil); err != nil {
 		return nil, err
 	}
 
-	sum, err := core.FuncByID(core.AggSum)
-	if err != nil {
-		return nil, err
-	}
-	col := core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-	col.Attach(hosts[reducer])
-	col.EnableRootAck()
-
-	// Synchronized fan-in: every worker queues its whole stream at t=0.
-	// Go-back-N keeps at most Window packets in flight per sender; under
-	// small buffers even that burst overflows the edge queue.
-	rcfg := core.ReliableConfig{
-		Window:     32,
-		RTO:        500 * time.Microsecond,
-		MaxRetries: 10_000, // completion, not give-up, is under study
-	}
-	want := map[string]uint32{}
-	senders := make([]*core.ReliableSender, len(workers))
-	// One error slot per sender: a jittered feed runs on its own worker's
-	// partition domain, so a shared variable would be a write-write race
-	// across domains. Slots are only read after Run's final barrier.
-	feedErrs := make([]error, len(workers))
-	for i, w := range workers {
-		mux := core.NewAckMux(hosts[w])
-		s, err := core.NewReliableSender(hosts[w], tplan.TreeID, reducer,
-			wire.DefaultGeometry, 10, rcfg)
-		if err != nil {
-			return nil, err
-		}
-		mux.Register(s)
-		senders[i] = s
-		stream, rng := senderWorkload(cfg.Seed, w, cfg.PairsPerSender, cfg.Vocab, want)
-		slot := &feedErrs[i]
-		feed := func() {
-			for _, kv := range stream {
-				if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-					*slot = err
-					return
-				}
-			}
-			s.End()
-		}
-		if cfg.StartJitter <= 0 {
-			feed() // synchronized fan-in: the whole stream queues at t=0
-			continue
-		}
-		// Staggered start: each sender begins at its own deterministic
-		// offset, drawn from its seed stream after the pairs so jitter
-		// never perturbs the workload itself. Scheduled at setup on the
-		// sender's own node, so it lands on the right partition domain.
-		delay := netsim.Time(rng.Int63n(int64(netsim.Duration(cfg.StartJitter)) + 1))
-		nw.NodeAfter(w, delay, feed)
-	}
-
-	// Bound the run: retransmission storms terminate (cumulative ACKs make
-	// progress every RTO), but a bound turns a regression into an error
-	// instead of a hang.
-	if err := nw.Run(200_000_000); err != nil {
-		return nil, fmt.Errorf("experiments: incast: %w", err)
-	}
-	for i, err := range feedErrs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: incast: sender %d feed: %w", i, err)
-		}
-	}
-
-	res := &IncastResult{Cfg: cfg, Completion: nw.Now()}
-	for i, s := range senders {
-		if !s.Done() {
-			return nil, fmt.Errorf("experiments: incast: sender %d incomplete: %v", i, s.Err())
-		}
-		res.Transmissions += s.Stats.Transmissions
-		res.Retransmissions += s.Stats.Retransmissions
-		res.PairsSent += s.Stats.PairsSent
-	}
-	if !col.Complete() {
-		return nil, fmt.Errorf("experiments: incast: collector incomplete (%+v)", col.Stats)
-	}
-	// Correctness gate: exactly-once aggregation despite retransmission.
-	if err := verifyExactOnce(col, want); err != nil {
-		return nil, fmt.Errorf("experiments: incast: %w", err)
-	}
-	// Edge admission stats, worker→switch direction only (port 0 is every
+	res := &IncastResult{Cfg: cfg, Completion: f.nw.Now()}
+	res.Transmissions, res.Retransmissions, res.PairsSent = t.totals()
+	// Edge admission, worker→switch direction only (port 0 is every
 	// host's uplink).
+	var e egress
 	for _, w := range workers {
-		st := nw.PortStats(w, 0)
-		res.FramesAttempted += st.TxFrames + st.DropsFull + st.DropsLoss
-		res.FramesDropped += st.DropsFull + st.DropsLoss
+		e.add(f.nw, w, 0)
 	}
-	if cfg.PoolBytes > 0 {
-		// Shared-memory mode adds a second loss point: the switch's own
-		// egress (ACK + flush streams through the pool). Count it, or the
-		// figure would report ~0% drops while retransmissions show real
-		// loss. Poolless runs skip this so historical metrics are
-		// untouched.
-		for p := 0; p < nw.NumPorts(sw); p++ {
-			st := nw.PortStats(sw, p)
-			res.FramesAttempted += st.TxFrames + st.DropsPool + st.DropsFull + st.DropsLoss
-			res.FramesDropped += st.DropsPool + st.DropsFull + st.DropsLoss
-		}
-	}
-	res.DropRatePct = 100 * stats.Ratio(float64(res.FramesDropped), float64(res.FramesAttempted))
+	res.FramesAttempted, res.FramesDropped = e.attempted, e.dropped
+	res.DropRatePct = 100 * stats.Ratio(float64(e.dropped), float64(e.attempted))
 	return res, nil
 }
 
-// incastRefCache memoizes loss-free reference runs across the sweep's
-// points: every queue-size point of a trial needs the same reference, so
-// computing it once per (seed, size) config saves the bulk of the figure's
-// wall-clock. Incast is deterministic in its config, so a concurrent
-// duplicate computation stores an identical value — benign.
-var incastRefCache sync.Map // IncastConfig -> *IncastResult
+// incastRefs memoizes loss-free reference runs across the sweep's points:
+// every queue-size point of a trial needs the same reference, so computing
+// it once per (seed, size) config saves the bulk of the figure's
+// wall-clock.
+var incastRefs memo[IncastConfig, *IncastResult]
 
-func incastReference(cfg IncastConfig) (*IncastResult, error) {
-	if v, ok := incastRefCache.Load(cfg); ok {
-		return v.(*IncastResult), nil
+// incastPoint runs one trial of the incast figures, with vary applied to
+// the trial's base config, and prices it against the loss-free
+// synchronized reference: identical workload, testbed-sized buffers, no
+// stagger. The reference is independent of the swept knob, so all points
+// of one trial share it, and the inflation prices in both the loss
+// recovery and any stagger.
+func incastPoint(tr Trial, vary func(*IncastConfig)) (map[string]float64, error) {
+	base := IncastConfig{
+		Seed:           tr.Seed,
+		Senders:        scaledInt(24, tr.Scale, 4),
+		PairsPerSender: scaledInt(1200, tr.Scale, 120),
+		SimWorkers:     tr.SimWorkers,
+		Recut:          tr.Recut,
 	}
+	cfg := base
+	vary(&cfg)
 	res, err := Incast(cfg)
 	if err != nil {
 		return nil, err
 	}
-	incastRefCache.Store(cfg, res)
-	return res, nil
+	ref, err := incastRefs.get(base, Incast)
+	if err != nil {
+		return nil, err
+	}
+	dataPkts := res.Transmissions - res.Retransmissions
+	return map[string]float64{
+		"drop_rate_pct":            res.DropRatePct,
+		"retransmissions_per_kpkt": 1000 * stats.Ratio(float64(res.Retransmissions), float64(dataPkts)),
+		"completion_inflation_x":   stats.Ratio(float64(res.Completion), float64(ref.Completion)),
+	}, nil
 }
 
 func init() {
+	metrics := []string{"drop_rate_pct", "retransmissions_per_kpkt", "completion_inflation_x"}
 	queues := []int{2048, 4096, 8192, 16384, 65536}
 	pts := make([]Point, len(queues))
 	for i, q := range queues {
 		pts[i] = Point{Label: fmt.Sprintf("%dKiB", q/1024), X: float64(q)}
 	}
 	Register(&Spec{
-		Name:   "incast",
-		Title:  "Extension: incast under small buffers (edge + root swept) — edge gate + root replay buffer under loss (paper: losses left open)",
-		XLabel: "port queue",
-		Points: pts,
-		Metrics: []string{
-			"drop_rate_pct",
-			"retransmissions_per_kpkt",
-			"completion_inflation_x",
-		},
+		Name:    "incast",
+		Title:   "Extension: incast under small buffers (edge + root swept) — edge gate + root replay buffer under loss (paper: losses left open)",
+		XLabel:  "port queue",
+		Points:  pts,
+		Metrics: metrics,
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			base := IncastConfig{
-				Seed:           tr.Seed,
-				Senders:        scaledInt(24, tr.Scale, 4),
-				PairsPerSender: scaledInt(1200, tr.Scale, 120),
-				SimWorkers:     tr.SimWorkers,
-				Recut:          tr.Recut,
-			}
-			small := base
-			small.QueueBytes = int(pt.X)
-			res, err := Incast(small)
-			if err != nil {
-				return nil, err
-			}
-			// The loss-free reference for completion inflation: identical
-			// workload, testbed-sized buffers. It is independent of the
-			// swept queue size, so all points of one trial share it.
-			ref, err := incastReference(base)
-			if err != nil {
-				return nil, err
-			}
-			dataPkts := res.Transmissions - res.Retransmissions
-			return map[string]float64{
-				"drop_rate_pct":            res.DropRatePct,
-				"retransmissions_per_kpkt": 1000 * stats.Ratio(float64(res.Retransmissions), float64(dataPkts)),
-				"completion_inflation_x":   stats.Ratio(float64(res.Completion), float64(ref.Completion)),
-			}, nil
+			return incastPoint(tr, func(c *IncastConfig) { c.QueueBytes = int(pt.X) })
 		},
 	})
 
@@ -393,43 +210,16 @@ func init() {
 		jpts[i] = Point{Label: fmt.Sprintf("%dus", j.Microseconds()), X: float64(j.Microseconds())}
 	}
 	Register(&Spec{
-		Name:   "incast-jitter",
-		Title:  "Extension: staggered sender starts under incast (4 KiB queues) — jitter vs loss",
-		XLabel: "start jitter",
-		Points: jpts,
-		Metrics: []string{
-			"drop_rate_pct",
-			"retransmissions_per_kpkt",
-			"completion_inflation_x",
-		},
+		Name:    "incast-jitter",
+		Title:   "Extension: staggered sender starts under incast (4 KiB queues) — jitter vs loss",
+		XLabel:  "start jitter",
+		Points:  jpts,
+		Metrics: metrics,
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			base := IncastConfig{
-				Seed:           tr.Seed,
-				Senders:        scaledInt(24, tr.Scale, 4),
-				PairsPerSender: scaledInt(1200, tr.Scale, 120),
-				SimWorkers:     tr.SimWorkers,
-				Recut:          tr.Recut,
-			}
-			jittered := base
-			jittered.QueueBytes = 4096
-			jittered.StartJitter = time.Duration(pt.X) * time.Microsecond
-			res, err := Incast(jittered)
-			if err != nil {
-				return nil, err
-			}
-			// Inflation is measured against the loss-free synchronized
-			// reference, so it prices in both the residual loss recovery
-			// and the stagger itself.
-			ref, err := incastReference(base)
-			if err != nil {
-				return nil, err
-			}
-			dataPkts := res.Transmissions - res.Retransmissions
-			return map[string]float64{
-				"drop_rate_pct":            res.DropRatePct,
-				"retransmissions_per_kpkt": 1000 * stats.Ratio(float64(res.Retransmissions), float64(dataPkts)),
-				"completion_inflation_x":   stats.Ratio(float64(res.Completion), float64(ref.Completion)),
-			}, nil
+			return incastPoint(tr, func(c *IncastConfig) {
+				c.QueueBytes = 4096
+				c.StartJitter = time.Duration(pt.X) * time.Microsecond
+			})
 		},
 	})
 }

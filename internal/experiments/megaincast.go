@@ -90,15 +90,9 @@ func init() {
 		// comparisons like parallel-sim's wall_ms.
 		Volatile: []string{"events_per_sec"},
 		Run: func(p Point, tr Trial) (map[string]float64, error) {
-			var mp megaIncastPoint
-			found := false
-			for i := range megaIncastPoints {
-				if pts[i].Label == p.Label {
-					mp, found = megaIncastPoints[i], true
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("experiments: megaincast: unknown point %q", p.Label)
+			mp, err := pointOf("megaincast", pts, megaIncastPoints, p.Label)
+			if err != nil {
+				return nil, err
 			}
 			// The point pins the engine cut; tr.SimWorkers/tr.Recut are
 			// deliberately ignored — the axis *is* the engine knob.

@@ -325,3 +325,16 @@ func scaledInt(full int, scale float64, floor int) int {
 	}
 	return n
 }
+
+// pointOf returns the sweep entry at label's position in pts, the one
+// label lookup of every labelled sweep: an unknown label is an error, never
+// a silent default.
+func pointOf[T any](figure string, pts []Point, sweep []T, label string) (T, error) {
+	for i := range pts {
+		if pts[i].Label == label {
+			return sweep[i], nil
+		}
+	}
+	var zero T
+	return zero, fmt.Errorf("experiments: %s: unknown point %q", figure, label)
+}

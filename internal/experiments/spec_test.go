@@ -185,3 +185,18 @@ func TestHeadlineKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelledSweepsRejectUnknownPoints: every spec that looks its sweep
+// entry up by point label fails on a label it did not register, instead of
+// running some default point.
+func TestLabelledSweepsRejectUnknownPoints(t *testing.T) {
+	for _, name := range []string{"bigincast", "megaincast", "syncproto", "tenants"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			_, err := Lookup(name).Run(Point{Label: "no-such-point"}, Trial{Seed: 1, Scale: 0.08, SimWorkers: 1})
+			if err == nil || !strings.Contains(err.Error(), `unknown point "no-such-point"`) {
+				t.Fatalf("Run with an unknown label: err = %v", err)
+			}
+		})
+	}
+}

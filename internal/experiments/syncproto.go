@@ -94,15 +94,9 @@ func init() {
 			"frames_total",
 		},
 		Run: func(p Point, tr Trial) (map[string]float64, error) {
-			var sp syncProtoPoint
-			found := false
-			for i := range syncProtoPoints {
-				if pts[i].Label == p.Label {
-					sp, found = syncProtoPoints[i], true
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("experiments: syncproto: unknown point %q", p.Label)
+			sp, err := pointOf("syncproto", pts, syncProtoPoints, p.Label)
+			if err != nil {
+				return nil, err
 			}
 			// The point pins the engine cut and protocol; tr.SimWorkers and
 			// tr.Recut are deliberately ignored — the axis IS the engine knob.

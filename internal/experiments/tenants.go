@@ -2,16 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/daiet/daiet/internal/controller"
-	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/telemetry"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // Tenants is the multi-tenant slicing experiment behind the hard-carve
@@ -46,26 +43,14 @@ type TenantsConfig struct {
 	VictimSenders int
 	VictimPairs   int
 	// VictimReserve is the swept per-port class-0 carve; -1 means an
-	// explicit zero floor (0 picks the 2 KiB default, as in IncastConfig).
+	// explicit zero floor (0 picks the 2 KiB default).
 	VictimReserve int
-	VictimAlpha   float64 // default 1
 
 	// Aggressor tenant: synchronized incast (defaults: 16 senders, 600
 	// pairs each). Class 1 carries no floor; AggAlpha is swept (default 8).
-	// AggVocab (default 8192) is deliberately wider than the 4096-cell
-	// aggregation table, so the aggressor's stream compresses poorly: the
-	// switch spills continuously toward the aggressor's reducer, whose
-	// deliberately slow downlink turns the fan-in into standing pressure
-	// on the shared memory — the classic incast regime, inside the pool.
 	AggSenders int
 	AggPairs   int
 	AggAlpha   float64
-	AggVocab   int
-
-	Vocab     int // the victim's key space (default 512)
-	PoolBytes int // switch shared memory (default 64 KiB)
-	// QueueBytes sizes the poolless host uplinks (default 64 MiB).
-	QueueBytes int
 
 	SimWorkers int
 	Recut      topology.RecutConfig
@@ -80,6 +65,21 @@ type TenantsConfig struct {
 	Telemetry *telemetry.Config
 }
 
+// Fixed parameters of the tenants fabric. The aggressor's key space is
+// deliberately wider than the 4096-cell aggregation table, so its stream
+// compresses poorly: the switch spills continuously toward the aggressor's
+// reducer, whose deliberately slow downlink turns the fan-in into standing
+// pressure on the shared memory — the classic incast regime, inside the
+// pool.
+const (
+	tenantsVictimAlpha = 1
+	tenantsVictimVocab = 512
+	tenantsAggVocab    = 8192
+	tenantsPoolBytes   = 64 << 10 // the switch's shared memory
+	tenantsQueueBytes  = 64 << 20 // the poolless host uplinks
+	tenantsTableSize   = 4096
+)
+
 func (c TenantsConfig) withDefaults() TenantsConfig {
 	if c.VictimSenders == 0 {
 		c.VictimSenders = 4
@@ -93,9 +93,6 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	case c.VictimReserve < 0:
 		c.VictimReserve = 0
 	}
-	if c.VictimAlpha == 0 {
-		c.VictimAlpha = 1
-	}
 	if c.AggSenders == 0 {
 		c.AggSenders = 16
 	}
@@ -104,18 +101,6 @@ func (c TenantsConfig) withDefaults() TenantsConfig {
 	}
 	if c.AggAlpha == 0 {
 		c.AggAlpha = 8
-	}
-	if c.AggVocab == 0 {
-		c.AggVocab = 8192
-	}
-	if c.Vocab == 0 {
-		c.Vocab = 512
-	}
-	if c.PoolBytes == 0 {
-		c.PoolBytes = 64 << 10
-	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = 64 << 20
 	}
 	return c
 }
@@ -147,217 +132,86 @@ type TenantsResult struct {
 func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	cfg = cfg.withDefaults()
 
-	sw := topology.SwitchBase
-	plan := &topology.Plan{Name: "tenants", Switches: []netsim.NodeID{sw}}
-	addHosts := func(n int, lc netsim.LinkConfig) []netsim.NodeID {
-		var hs []netsim.NodeID
-		for i := 0; i < n; i++ {
-			h := topology.HostBase + netsim.NodeID(len(plan.Hosts))
-			plan.Hosts = append(plan.Hosts, h)
-			plan.Links = append(plan.Links, topology.Link{A: h, B: sw, Cfg: lc})
-			hs = append(hs, h)
-		}
-		return hs
+	// Hosts in order: victims, the victim's reducer, aggressors, the
+	// aggressor's reducer. The aggressor reducer's downlink is the incast
+	// bottleneck: 100 Mb/s against 10 Gb/s sender uplinks, so the
+	// spill/flush stream backs up inside the switch's shared memory
+	// instead of draining instantly.
+	plan := topology.SingleSwitch(cfg.VictimSenders+cfg.AggSenders+2,
+		netsim.LinkConfig{QueueBytes: tenantsQueueBytes})
+	plan.Links[len(plan.Links)-1].Cfg.BandwidthBps = 100_000_000
+	sw := plan.Switches[0]
+	hosts := plan.Hosts
+	victim := &faninTree{
+		name:    "victim",
+		workers: hosts[:cfg.VictimSenders], reducer: hosts[cfg.VictimSenders],
+		pairs: cfg.VictimPairs, vocab: tenantsVictimVocab,
+		opts:   tenantOptions(0, 8),
+		window: 4,
+		pace:   100 * time.Microsecond, chunk: 20,
 	}
-	fat := netsim.LinkConfig{QueueBytes: cfg.QueueBytes}
-	victims := addHosts(cfg.VictimSenders, fat)
-	victimReducer := addHosts(1, fat)[0]
-	aggs := addHosts(cfg.AggSenders, fat)
-	// The aggressor reducer's downlink is the incast bottleneck: 100 Mb/s
-	// against 10 Gb/s sender uplinks, so the spill/flush stream backs up
-	// inside the switch's shared memory instead of draining instantly.
-	aggReducer := addHosts(1, netsim.LinkConfig{
-		QueueBytes: cfg.QueueBytes, BandwidthBps: 100_000_000})[0]
+	// RootReplay 512 lets the aggressor keep ~68 KB of spill/flush traffic
+	// in flight — more than the whole shared memory, so the only thing
+	// bounding its occupancy is the pool's admission.
+	aggressor := &faninTree{
+		name:    "aggressor",
+		workers: hosts[cfg.VictimSenders+1 : len(hosts)-1], reducer: hosts[len(hosts)-1],
+		pairs: cfg.AggPairs, vocab: tenantsAggVocab,
+		opts:   tenantOptions(1, 512),
+		window: 32,
+	}
 
 	// Class 0: the victim's carved slice. Class 1: the aggressor's
 	// floorless DT share. The carve is per (port, class), so every switch
 	// port reserves VictimReserve bytes the aggressor physically cannot
 	// borrow.
 	plan.SetPool(sw, netsim.PoolConfig{
-		TotalBytes: cfg.PoolBytes,
+		TotalBytes: tenantsPoolBytes,
 		Classes: []netsim.ClassConfig{
-			{ReserveBytes: cfg.VictimReserve, Alpha: cfg.VictimAlpha},
+			{ReserveBytes: cfg.VictimReserve, Alpha: tenantsVictimAlpha},
 			{ReserveBytes: 0, Alpha: cfg.AggAlpha},
 		},
 	})
 
-	nw := netsim.New(cfg.Seed)
-	fb, err := buildDaietFabric(nw, plan)
+	f, err := newFanIn("tenants", plan, cfg.Seed, cfg.SimWorkers, cfg.Recut, netsim.SyncEIT)
 	if err != nil {
 		return nil, err
 	}
-	if err := fb.fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
+	if err := f.addTree(victim); err != nil {
 		return nil, err
 	}
-	ctl := controller.New(fb.fab, fb.programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	sum, err := core.FuncByID(core.AggSum)
-	if err != nil {
-		return nil, err
-	}
-
-	res := &TenantsResult{Cfg: cfg}
-
-	// installTenant wires one tenant: reliable tree under its classes, a
-	// root-ACKing collector stamping the tenant's completion, and reliable
-	// senders over the given workloads.
-	type tenant struct {
-		senders []*core.ReliableSender
-		col     *core.Collector
-		want    map[string]uint32
-		feedErr []error
-	}
-	installTenant := func(idx int, workers []netsim.NodeID, reducer netsim.NodeID,
-		pairs, vocab int, rcfg core.ReliableConfig, rootReplay int,
-		completion *netsim.Time, pace time.Duration, chunk int) (*tenant, error) {
-
-		tplan, err := ctl.PlanTree(reducer, workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctl.InstallTree(tplan, controller.TreeOptions{
-			Agg:        core.AggSum,
-			TableSize:  4096,
-			Reliable:   true,
-			RootReplay: rootReplay,
-			RootRTO:    500 * time.Microsecond,
-			DataClass:  idx,
-			AckClass:   idx,
-			Tenant:     idx,
-		}); err != nil {
-			return nil, err
-		}
-		tn := &tenant{want: map[string]uint32{}, feedErr: make([]error, len(workers))}
-		tn.col = core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-		tn.col.Attach(fb.hosts[reducer])
-		tn.col.EnableRootAck()
-		tn.col.OnComplete = func() { *completion = nw.NodeNow(reducer) }
-		for i, w := range workers {
-			mux := core.NewAckMux(fb.hosts[w])
-			s, err := core.NewReliableSender(fb.hosts[w], tplan.TreeID, reducer,
-				wire.DefaultGeometry, 10, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			mux.Register(s)
-			tn.senders = append(tn.senders, s)
-			stream, _ := senderWorkload(cfg.Seed, w, pairs, vocab, tn.want)
-			slot := &tn.feedErr[i]
-			if pace <= 0 {
-				// Synchronized: the whole stream queues at t=0.
-				for _, kv := range stream {
-					if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-						return nil, err
-					}
-				}
-				s.End()
-				continue
-			}
-			// Paced: fixed-size chunks on the sender's own clock, so the
-			// tenant's in-flight bytes stay bounded by design.
-			for c := 0; c*chunk < len(stream); c++ {
-				part := stream[c*chunk:]
-				if len(part) > chunk {
-					part = part[:chunk]
-				}
-				last := (c+1)*chunk >= len(stream)
-				nw.NodeAfter(w, netsim.Time(c)*netsim.Duration(pace), func() {
-					for _, kv := range part {
-						if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-							*slot = err
-							return
-						}
-					}
-					if last {
-						s.End()
-					}
-				})
-			}
-		}
-		return tn, nil
-	}
-
-	victimCfg := core.ReliableConfig{Window: 4, RTO: 500 * time.Microsecond, MaxRetries: 10_000}
-	victim, err := installTenant(0, victims, victimReducer, cfg.VictimPairs, cfg.Vocab,
-		victimCfg, 8, &res.VictimCompletion, 100*time.Microsecond, 20)
-	if err != nil {
-		return nil, err
-	}
-	var aggressor *tenant
 	if !cfg.VictimOnly {
-		// RootReplay 512 lets the aggressor keep ~68 KB of spill/flush
-		// traffic in flight — more than the whole shared memory, so the
-		// only thing bounding its occupancy is the pool's admission.
-		aggCfg := core.ReliableConfig{Window: 32, RTO: 500 * time.Microsecond, MaxRetries: 10_000}
-		aggressor, err = installTenant(1, aggs, aggReducer, cfg.AggPairs, cfg.AggVocab,
-			aggCfg, 512, &res.AggCompletion, 0, 0)
-		if err != nil {
+		if err := f.addTree(aggressor); err != nil {
 			return nil, err
 		}
 	}
-
-	var rec *telemetry.Recorder
-	if cfg.Telemetry != nil {
-		rec = telemetry.NewRecorder(nw, *cfg.Telemetry)
-		if err := rec.WatchSwitch(sw, fb.programs[sw]); err != nil {
-			return nil, fmt.Errorf("experiments: tenants: %w", err)
-		}
-		rec.EnablePathTrace([]netsim.NodeID{sw})
-		rec.Start()
-		if err := rec.RunSampled(400_000_000); err != nil {
-			return nil, fmt.Errorf("experiments: tenants: %w", err)
-		}
-		res.Timeline = rec.Timeline()
-	} else if err := nw.Run(400_000_000); err != nil {
-		return nil, fmt.Errorf("experiments: tenants: %w", err)
-	}
-
-	finish := func(name string, tn *tenant) error {
-		for i, err := range tn.feedErr {
-			if err != nil {
-				return fmt.Errorf("experiments: tenants: %s sender %d feed: %w", name, i, err)
-			}
-		}
-		for i, s := range tn.senders {
-			if !s.Done() {
-				return fmt.Errorf("experiments: tenants: %s sender %d incomplete: %v", name, i, s.Err())
-			}
-		}
-		if !tn.col.Complete() {
-			return fmt.Errorf("experiments: tenants: %s collector incomplete (%+v)", name, tn.col.Stats)
-		}
-		if err := verifyExactOnce(tn.col, tn.want); err != nil {
-			return fmt.Errorf("experiments: tenants: %s: %w", name, err)
-		}
-		return nil
-	}
-	if err := finish("victim", victim); err != nil {
+	tl, err := f.run(400_000_000, cfg.Telemetry)
+	if err != nil {
 		return nil, err
-	}
-	if aggressor != nil {
-		if err := finish("aggressor", aggressor); err != nil {
-			return nil, err
-		}
 	}
 
 	// Per-tenant admission accounting at the pooled switch egress: the
 	// ACK streams back to the tenant's senders plus the flush stream to
 	// its reducer.
-	account := func(hostsOf []netsim.NodeID, reducer netsim.NodeID) (attempted, dropped uint64) {
-		for _, h := range append(append([]netsim.NodeID(nil), hostsOf...), reducer) {
-			p := fb.fab.PortTo(sw, h)
-			st := nw.PortStats(sw, p)
-			attempted += st.TxFrames + st.DropsPool + st.DropsFull + st.DropsLoss
-			dropped += st.DropsPool + st.DropsFull + st.DropsLoss
+	account := func(t *faninTree) (e egress) {
+		for _, h := range append(t.workers[:len(t.workers):len(t.workers)], t.reducer) {
+			e.add(f.nw, sw, f.fab.PortTo(sw, h))
 		}
-		return attempted, dropped
+		return e
 	}
-	res.VictimAttempted, res.VictimDropped = account(victims, victimReducer)
-	res.AggAttempted, res.AggDropped = account(aggs, aggReducer)
+	ve, ae := account(victim), account(aggressor)
+	res := &TenantsResult{
+		Cfg:              cfg,
+		VictimAttempted:  ve.attempted,
+		VictimDropped:    ve.dropped,
+		AggAttempted:     ae.attempted,
+		AggDropped:       ae.dropped,
+		VictimCompletion: victim.completion,
+		AggCompletion:    aggressor.completion,
+		Timeline:         tl,
+	}
 
-	ps, ok := nw.PoolStats(sw)
+	ps, ok := f.nw.PoolStats(sw)
 	if !ok || len(ps.Classes) != 2 {
 		return nil, fmt.Errorf("experiments: tenants: switch pool missing (%+v)", ps)
 	}
@@ -365,45 +219,38 @@ func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	res.AggPoolDrops = ps.Classes[1].Drops
 	// Attribution consistency: each tenant's hosts are disjoint, so the
 	// per-class drop counters must equal the per-port sums.
-	if vp := portPoolDrops(nw, fb.fab, sw, victims, victimReducer); vp != res.VictimPoolDrops {
+	if ve.poolDrops != res.VictimPoolDrops {
 		return nil, fmt.Errorf("experiments: tenants: victim drop attribution: class %d, ports %d",
-			res.VictimPoolDrops, vp)
+			res.VictimPoolDrops, ve.poolDrops)
 	}
-	if ap := portPoolDrops(nw, fb.fab, sw, aggs, aggReducer); ap != res.AggPoolDrops {
+	if ae.poolDrops != res.AggPoolDrops {
 		return nil, fmt.Errorf("experiments: tenants: aggressor drop attribution: class %d, ports %d",
-			res.AggPoolDrops, ap)
+			res.AggPoolDrops, ae.poolDrops)
 	}
 	return res, nil
 }
 
-// portPoolDrops sums DropsPool over the switch ports serving one tenant's
-// hosts.
-func portPoolDrops(nw *netsim.Network, fab *topology.Fabric, sw netsim.NodeID,
-	hosts []netsim.NodeID, reducer netsim.NodeID) uint64 {
-
-	var drops uint64
-	for _, h := range append(append([]netsim.NodeID(nil), hosts...), reducer) {
-		drops += nw.PortStats(sw, fab.PortTo(sw, h)).DropsPool
+// tenantOptions places tenant idx's tree, data and ACKs in pool class idx.
+func tenantOptions(idx, rootReplay int) controller.TreeOptions {
+	return controller.TreeOptions{
+		TableSize:  tenantsTableSize,
+		RootReplay: rootReplay,
+		DataClass:  idx,
+		AckClass:   idx,
+		Tenant:     idx,
 	}
-	return drops
 }
 
-// tenantsRefCache memoizes the uncontended victim-only reference runs, one
-// per config — every sweep point of a trial divides by the same reference.
-var tenantsRefCache sync.Map // TenantsConfig -> *TenantsResult
+// tenantsRefs memoizes the uncontended victim-only reference runs, one per
+// config — every sweep point of a trial divides by the same reference.
+var tenantsRefs memo[TenantsConfig, *TenantsResult]
 
+// tenantsReference is cfg's victim-only run. It is never recorded, so the
+// key drops Telemetry too.
 func tenantsReference(cfg TenantsConfig) (*TenantsResult, error) {
 	cfg.VictimOnly = true
-	cfg.Telemetry = nil // the reference run is not recorded (and must cache-key cleanly)
-	if v, ok := tenantsRefCache.Load(cfg); ok {
-		return v.(*TenantsResult), nil
-	}
-	res, err := Tenants(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tenantsRefCache.Store(cfg, res)
-	return res, nil
+	cfg.Telemetry = nil
+	return tenantsRefs.get(cfg, Tenants)
 }
 
 func init() {
@@ -427,14 +274,12 @@ func init() {
 		{"c2K/a8", 2048, 8},
 	}
 	pts := make([]Point, len(sweep))
-	byLabel := make(map[string]int, len(sweep))
 	for i, s := range sweep {
 		carve := s.carve
 		if carve < 0 {
 			carve = 0
 		}
 		pts[i] = Point{Label: s.label, X: float64(carve)}
-		byLabel[s.label] = i
 	}
 	Register(&Spec{
 		Name:   "tenants",
@@ -449,7 +294,10 @@ func init() {
 			"jain_fairness",
 		},
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			s := sweep[byLabel[pt.Label]]
+			s, err := pointOf("tenants", pts, sweep, pt.Label)
+			if err != nil {
+				return nil, err
+			}
 			base := TenantsConfig{
 				Seed:          tr.Seed,
 				VictimSenders: scaledInt(4, tr.Scale, 2),

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/daiet/daiet/internal/hashing"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -272,6 +274,78 @@ func TestLossInjectionDeterministic(t *testing.T) {
 		// Not impossible, but with 200 Bernoulli(0.5) trials a collision in
 		// counts is unlikely enough to flag a seeding bug.
 		t.Logf("note: different seeds produced identical drop counts (%d)", d1)
+	}
+}
+
+// lossyDrops sends n indexed frames each way over a LossProb-0.3 link
+// (node 1's second port, node 3's first) and returns the indices each
+// direction dropped.
+func lossyDrops(t *testing.T, n int) (fwd, rev []int) {
+	t.Helper()
+	nw := New(7)
+	a, b, c := &sink{}, &sink{}, &sink{}
+	nw.AddNode(1, a)
+	nw.AddNode(2, b)
+	nw.AddNode(3, c)
+	nw.Connect(1, 2, LinkConfig{})
+	ap, cp := nw.Connect(1, 3, LinkConfig{LossProb: 0.3})
+	for i := 0; i < n; i++ {
+		nw.Send(1, ap, []byte{byte(i >> 8), byte(i)})
+		nw.Send(3, cp, []byte{byte(i >> 8), byte(i)})
+	}
+	if err := nw.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	missing := func(got [][]byte) []int {
+		seen := make([]bool, n)
+		for _, f := range got {
+			seen[int(f[0])<<8|int(f[1])] = true
+		}
+		var out []int
+		for i, ok := range seen {
+			if !ok {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	return missing(c.frames), missing(a.frames)
+}
+
+// TestLossyLinkDropPattern pins which frames a lossy link drops, in both
+// directions: the per-half-link loss stream is part of every lossy
+// figure's output, so any change to how it is seeded or drawn shows here.
+func TestLossyLinkDropPattern(t *testing.T) {
+	fwd, rev := lossyDrops(t, 2000)
+	digest := func(idx []int) uint64 {
+		b := make([]byte, 0, 2*len(idx))
+		for _, i := range idx {
+			b = append(b, byte(i>>8), byte(i))
+		}
+		return hashing.FNV1a64(b)
+	}
+	for _, c := range []struct {
+		name  string
+		got   []int
+		count int
+		first []int
+		hash  uint64
+	}{
+		{"1->3", fwd, 599, []int{8, 9, 11, 13, 14, 17, 19, 24}, 0x13d69ad51ac07768},
+		{"3->1", rev, 624, []int{1, 7, 8, 9, 12, 19, 21, 22}, 0x8f39eb3aadb0e127},
+	} {
+		if len(c.got) != c.count {
+			t.Errorf("%s: %d drops, want %d", c.name, len(c.got), c.count)
+			continue
+		}
+		for i, want := range c.first {
+			if c.got[i] != want {
+				t.Errorf("%s: drop %d is frame %d, want %d", c.name, i, c.got[i], want)
+			}
+		}
+		if h := digest(c.got); h != c.hash {
+			t.Errorf("%s: drop digest %#x, want %#x", c.name, h, c.hash)
+		}
 	}
 }
 

@@ -29,9 +29,16 @@ func New(fab *topology.Fabric, programs map[netsim.NodeID]*core.Program) *Contro
 }
 
 // InstallRouting installs plain IPv4 forwarding entries on every switch for
-// every host, so baseline (non-aggregated) traffic flows.
+// every host, so baseline (non-aggregated) traffic flows. Switches are
+// programmed in ascending ID order, so on an error the switches already
+// programmed, and the one the error names, are the same on every run.
 func (c *Controller) InstallRouting() error {
+	ids := make([]netsim.NodeID, 0, len(c.programs))
 	for swID := range c.programs {
+		ids = append(ids, swID)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, swID := range ids {
 		if err := c.InstallRoutingOn(swID); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/daiet/daiet/internal/core"
@@ -191,5 +192,23 @@ func TestProgramAccessor(t *testing.T) {
 	}
 	if ctl.Program(netsim.NodeID(12345)) != nil {
 		t.Fatal("unknown switch must be nil")
+	}
+}
+
+func TestInstallRoutingErrorDeterministic(t *testing.T) {
+	// A leaf-spine plus three switches with no links: each of the three
+	// fails on the first host, and the error must name the lowest of them
+	// whatever order the program map iterates in.
+	base := topology.LeafSpine(2, 1, 2, netsim.LinkConfig{})
+	first := topology.SwitchBase + netsim.NodeID(len(base.Switches))
+	want := fmt.Sprintf("controller: switch %d cannot reach host %d", first, base.Hosts[0])
+	for i := 0; i < 20; i++ {
+		plan := topology.LeafSpine(2, 1, 2, netsim.LinkConfig{})
+		plan.Switches = append(plan.Switches, first+2, first, first+1)
+		ctl, _, _ := buildFixture(t, plan)
+		err := ctl.InstallRouting()
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: InstallRouting error %v, want %q", i, err, want)
+		}
 	}
 }

@@ -227,6 +227,11 @@ type Program struct {
 	fwdTable  *dataplane.Table
 	trees     map[uint32]*treeState
 
+	// portParams[i] is the read-only action-parameter slice {i} every
+	// forwarding entry out of port i shares, so installing a route for
+	// each of a fabric's hosts allocates no parameters per route.
+	portParams [][]uint64
+
 	// crashes counts Crash calls — the "boot generation" a liveness monitor
 	// compares across polls to detect crash-restart cycles shorter than its
 	// polling period.
@@ -341,12 +346,18 @@ func (p *Program) Trees() []uint32 {
 // InstallRoute adds plain IPv4 forwarding: packets addressed to node dst
 // leave through port.
 func (p *Program) InstallRoute(dst uint32, port int) error {
+	if port < 0 {
+		return fmt.Errorf("core: route to node %d: negative port %d", dst, port)
+	}
+	for len(p.portParams) <= port {
+		p.portParams = append(p.portParams, []uint64{uint64(len(p.portParams))})
+	}
 	ip := wire.IPFromNode(dst)
-	return p.fwdTable.AddExact(ip[:], dataplane.Entry{
-		Action: func(c *dataplane.Ctx, params []uint64) { c.Forward(int(params[0])) },
-		Params: []uint64{uint64(port)},
-	})
+	return p.fwdTable.AddExact(ip[:], dataplane.Entry{Action: forwardAction, Params: p.portParams[port]})
 }
+
+// forwardAction sends the packet out of the port its entry names.
+func forwardAction(c *dataplane.Ctx, params []uint64) { c.Forward(int(params[0])) }
 
 // ConfigureTree allocates the tree's registers and activates aggregation
 // for its tree ID. Allocation failures (SRAM exhausted) roll back cleanly.

@@ -349,6 +349,38 @@ func TestLossyLinkDropPattern(t *testing.T) {
 	}
 }
 
+// TestLosslessLinkBuildsNoRNG checks the loss stream is built lazily: a
+// link without LossProb never seeds one, neither at Connect nor on send,
+// while a lossy one builds it on its first frame.
+func TestLosslessLinkBuildsNoRNG(t *testing.T) {
+	nw := New(1)
+	nw.AddNode(1, &sink{})
+	nw.AddNode(2, &sink{})
+	nw.AddNode(3, &sink{})
+	nw.Connect(1, 2, LinkConfig{})
+	nw.Connect(1, 3, LinkConfig{LossProb: 0.3})
+	for _, hl := range nw.half {
+		if hl.rng != nil {
+			t.Fatalf("half-link %d->%d built its loss RNG at Connect", hl.srcNode, hl.dstNode)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		nw.Send(1, 0, make([]byte, 64))
+		nw.Send(2, 0, make([]byte, 64))
+		nw.Send(1, 1, make([]byte, 64))
+	}
+	if err := nw.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, hl := range nw.half {
+		lossy := hl.srcNode == 1 && hl.dstNode == 3
+		if built := hl.rng != nil; built != lossy {
+			t.Errorf("half-link %d->%d: loss RNG built=%v after sends, want %v",
+				hl.srcNode, hl.dstNode, built, lossy)
+		}
+	}
+}
+
 func TestBidirectionalIndependentQueues(t *testing.T) {
 	nw := New(1)
 	a, b := &sink{}, &sink{}

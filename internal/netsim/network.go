@@ -78,7 +78,12 @@ type halfLink struct {
 	busyTill Time // when the transmitter finishes its current backlog
 	queued   int  // bytes accepted but not yet fully serialized
 	stats    LinkStats
+
+	// rng is the injected-loss stream, seeded from lossSeed on the first
+	// loss draw: only links with LossProb > 0 ever draw, and a source's
+	// state is kilobytes, so lossless fabrics never build one.
 	rng      *rand.Rand
+	lossSeed int64
 
 	// down marks the direction administratively failed (fault injection):
 	// frames sent while down are counted and discarded. Frames already
@@ -281,18 +286,16 @@ func (nw *Network) Connect(a, b NodeID, cfg LinkConfig) (aPort, bPort int) {
 	cfg = cfg.withDefaults()
 	aPort = len(nw.ports[a])
 	bPort = len(nw.ports[b])
-	// Derive independent, deterministic RNG streams per half-link.
-	mk := func(salt uint64) *rand.Rand {
-		return rand.New(rand.NewSource(int64(hashing.Mix64(nw.seed ^ salt))))
-	}
+	// Derive independent, deterministic loss-stream seeds per half-link.
+	seed := func(salt uint64) int64 { return int64(hashing.Mix64(nw.seed ^ salt)) }
 	ab := &halfLink{cfg: cfg, srcNode: a, dstNode: b, dstPort: bPort,
-		dst: nw.nodes[b],
-		key: halfLinkKeyBase | uint64(len(nw.half)),
-		rng: mk(uint64(a)<<32 | uint64(b)<<8 | uint64(aPort))}
+		dst:      nw.nodes[b],
+		key:      halfLinkKeyBase | uint64(len(nw.half)),
+		lossSeed: seed(uint64(a)<<32 | uint64(b)<<8 | uint64(aPort))}
 	ba := &halfLink{cfg: cfg, srcNode: b, dstNode: a, dstPort: aPort,
-		dst: nw.nodes[a],
-		key: halfLinkKeyBase | uint64(len(nw.half)+1),
-		rng: mk(uint64(b)<<32 | uint64(a)<<8 | uint64(bPort) | 1<<63)}
+		dst:      nw.nodes[a],
+		key:      halfLinkKeyBase | uint64(len(nw.half)+1),
+		lossSeed: seed(uint64(b)<<32 | uint64(a)<<8 | uint64(bPort) | 1<<63)}
 	// Ports born after SetNodePool join the node's pool, each carving its
 	// own reserve slot; an over-committed carve is a configuration error.
 	nw.joinPool(a, ab)
@@ -396,7 +399,7 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 		}
 		return
 	}
-	if hl.cfg.LossProb > 0 && hl.rng.Float64() < hl.cfg.LossProb {
+	if hl.cfg.LossProb > 0 && hl.lossDraw() < hl.cfg.LossProb {
 		hl.stats.DropsLoss++
 		if nw.tracer != nil {
 			nw.traceFrame(hl, class, size, now, FrameDropLoss, frame)
@@ -447,6 +450,15 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 	hl.srcDom.out[hl.dstDom.idx] = append(hl.srcDom.out[hl.dstDom.idx],
 		mail{at: arrival, src: hl.key, seq: hl.txSeq, dst: hl.dstNode, node: hl.dst,
 			port: int32(hl.dstPort), frame: frame})
+}
+
+// lossDraw returns the half-link's next loss variate, building its stream
+// on first use.
+func (hl *halfLink) lossDraw() float64 {
+	if hl.rng == nil {
+		hl.rng = rand.New(rand.NewSource(hl.lossSeed))
+	}
+	return hl.rng.Float64()
 }
 
 // engFor returns the engine that owns node id's events: the domain engine

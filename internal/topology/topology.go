@@ -518,22 +518,42 @@ type Edge struct {
 }
 
 // Fabric is a realized plan: nodes added, links connected, ports recorded.
+//
+// Routing over the whole fabric (the empty avoid set) is answered from
+// per-anchor candidate tables rather than one search per destination. A
+// destination's anchor is the node whose breadth-first search fixes its
+// routes: the destination itself for a switch or a multi-homed host, and
+// the one switch of a single-homed host. Every path to such a host runs
+// through that switch, so each other node's equal-cost next hops toward
+// the host are exactly its next hops toward the switch, and the switch's
+// is the host. A fabric therefore runs one search per switch and per
+// multi-homed host — 19 on the 1024-sender leaf-spine, where a search per
+// destination ran one for each of its 1,088 hosts — and every query is a table lookup plus the ECMP hash pick over the
+// (node, destination) IDs, the same pick a per-destination search makes.
 type Fabric struct {
 	Plan *Plan
 	Net  *netsim.Network
 	adj  map[netsim.NodeID][]Edge
-	// bfs memoizes per-destination predecessor maps (next hop toward dst).
-	bfs map[netsim.NodeID]map[netsim.NodeID]netsim.NodeID
-	// Dense mirror of the graph, built once in Realize. Routing install at
-	// fabric scale (megaincast: one BFS per host over a thousand nodes) is
-	// map-bound, so the empty-avoid path — every InstallRouting and tree
-	// plan — runs on slice-indexed adjacency instead. Next-hop choices are
-	// identical to the map BFS: candidate order is the per-node edge order
-	// either way, and the ECMP pick hashes (node, dst) IDs only.
-	ids  []netsim.NodeID                   // dense index -> node ID
-	idx  map[netsim.NodeID]int32           // node ID -> dense index
-	dadj [][]int32                         // dense adjacency, same edge order as adj
-	nh   map[netsim.NodeID][]netsim.NodeID // per-dst dense next hops (0 = unreachable)
+
+	// Dense mirror of the graph, built once in Realize: switches then
+	// hosts, edges in the same order as adj.
+	ids  []netsim.NodeID         // dense index -> node ID
+	idx  map[netsim.NodeID]int32 // node ID -> dense index
+	dadj [][]int32               // dense adjacency
+	// anchor[i] is the dense index of node i's routing anchor, and
+	// tables[a] the memoized candidate table of anchor a, nil until a
+	// query first needs it.
+	anchor []int32
+	tables []*hopTable
+}
+
+// hopTable holds, for one anchor, every node's equal-cost next hops
+// toward it as dense indices in edge order: node i's candidates are
+// cand[off[i]:off[i+1]], empty for the anchor itself and for nodes that
+// cannot reach it.
+type hopTable struct {
+	off  []int32
+	cand []int32
 }
 
 // Realize adds every planned node to nw (switches via mkSwitch, hosts via
@@ -545,7 +565,6 @@ func (p *Plan) Realize(nw *netsim.Network,
 		Plan: p,
 		Net:  nw,
 		adj:  make(map[netsim.NodeID][]Edge),
-		bfs:  make(map[netsim.NodeID]map[netsim.NodeID]netsim.NodeID),
 	}
 	for _, id := range p.Switches {
 		nw.AddNode(id, mkSwitch(id))
@@ -558,20 +577,7 @@ func (p *Plan) Realize(nw *netsim.Network,
 		f.adj[l.A] = append(f.adj[l.A], Edge{Peer: l.B, Port: pa})
 		f.adj[l.B] = append(f.adj[l.B], Edge{Peer: l.A, Port: pb})
 	}
-	// Dense graph mirror for the routing fast path: switches then hosts,
-	// edges in the same order as adj.
-	f.idx = make(map[netsim.NodeID]int32, len(p.Switches)+len(p.Hosts))
-	f.nh = make(map[netsim.NodeID][]netsim.NodeID)
-	for _, id := range append(append([]netsim.NodeID(nil), p.Switches...), p.Hosts...) {
-		f.idx[id] = int32(len(f.ids))
-		f.ids = append(f.ids, id)
-	}
-	f.dadj = make([][]int32, len(f.ids))
-	for i, id := range f.ids {
-		for _, e := range f.adj[id] {
-			f.dadj[i] = append(f.dadj[i], f.idx[e.Peer])
-		}
-	}
+	f.buildRouting()
 	installed := 0
 	for _, id := range append(append([]netsim.NodeID(nil), p.Switches...), p.Hosts...) {
 		if cfg, ok := p.Pools[id]; ok {
@@ -644,32 +650,125 @@ func (a *Avoid) link(x, y netsim.NodeID) bool {
 	return a != nil && a.Links[LinkKey(x, y)]
 }
 
-// nextHopMap computes, via reverse BFS from dst, the next hop toward dst
-// from every reachable node, excluding everything in avoid. When several
-// equal-cost next hops exist, one is chosen by hashing (node, dst) —
-// ECMP-style spreading, so different destinations' aggregation trees use
-// different spines while every single destination still gets one
-// deterministic loop-free tree (the property the paper's correctness
-// argument needs). Results are memoized per destination for the empty
-// avoid set only: failover queries see the fabric's current failures, so
-// they recompute each time.
-func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]netsim.NodeID {
-	if avoid.empty() {
-		// Fast path: materialize the memoized map from the dense BFS.
-		if m, ok := f.bfs[dst]; ok {
-			return m
+// buildRouting builds the dense graph mirror and assigns every node its
+// routing anchor. Candidate tables are built on first use.
+func (f *Fabric) buildRouting() {
+	p := f.Plan
+	n := len(p.Switches) + len(p.Hosts)
+	f.ids = make([]netsim.NodeID, 0, n)
+	f.idx = make(map[netsim.NodeID]int32, n)
+	for _, ids := range [][]netsim.NodeID{p.Switches, p.Hosts} {
+		for _, id := range ids {
+			f.idx[id] = int32(len(f.ids))
+			f.ids = append(f.ids, id)
 		}
-		dn := f.nextHopDense(dst)
-		m := map[netsim.NodeID]netsim.NodeID{dst: dst}
-		for i, nh := range dn {
-			if nh != 0 {
-				m[f.ids[i]] = nh
+	}
+	f.dadj = make([][]int32, n)
+	f.anchor = make([]int32, n)
+	f.tables = make([]*hopTable, n)
+	peers := make([]int32, 0, 2*len(p.Links))
+	for i, id := range f.ids {
+		edges := f.adj[id]
+		for _, e := range edges {
+			peers = append(peers, f.idx[e.Peer])
+		}
+		f.dadj[i] = peers[len(peers)-len(edges) : len(peers) : len(peers)]
+		f.anchor[i] = int32(i)
+		if len(edges) == 1 && !IsSwitchID(id) && IsSwitchID(edges[0].Peer) {
+			f.anchor[i] = f.dadj[i][0] // single-homed host: its switch
+		}
+	}
+}
+
+// table returns anchor a's candidate table, building it on first use from
+// one breadth-first search out of a. Traffic never transits hosts, so hosts
+// other than a are leaves of the search, and a candidate must be a switch
+// unless it is a itself.
+func (f *Fabric) table(a int32) *hopTable {
+	if t := f.tables[a]; t != nil {
+		return t
+	}
+	n := len(f.ids)
+	dist := make([]int32, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[a] = 0
+	queue := make([]int32, 1, n)
+	queue[0] = a
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		if cur != a && !IsSwitchID(f.ids[cur]) {
+			continue
+		}
+		for _, peer := range f.dadj[cur] {
+			if dist[peer] < 0 {
+				dist[peer] = dist[cur] + 1
+				queue = append(queue, peer)
 			}
 		}
-		f.bfs[dst] = m
-		return m
 	}
+	t := &hopTable{off: make([]int32, n+1), cand: make([]int32, 0, n)}
+	for node := range f.ids {
+		if d := dist[node]; d > 0 {
+			for _, peer := range f.dadj[node] {
+				if dist[peer] == d-1 && (peer == a || IsSwitchID(f.ids[peer])) {
+					t.cand = append(t.cand, peer)
+				}
+			}
+		}
+		t.off[node+1] = int32(len(t.cand))
+	}
+	f.tables[a] = t
+	return t
+}
+
+// nextHop is NextHop over dense indices, for from != dst: the anchor's
+// candidates for from, ECMP-picked by (from, dst) when there are several,
+// or -1 when from cannot reach dst.
+func (f *Fabric) nextHop(from, dst int32) int32 {
+	a := f.anchor[dst]
+	if from == a {
+		return dst // the single-homed host's own switch
+	}
+	t := f.table(a)
+	c := t.cand[t.off[from]:t.off[from+1]]
+	switch len(c) {
+	case 0:
+		return -1
+	case 1:
+		return c[0]
+	}
+	var key [8]byte
+	binary.BigEndian.PutUint32(key[0:4], uint32(f.ids[from]))
+	binary.BigEndian.PutUint32(key[4:8], uint32(f.ids[dst]))
+	return c[hashing.ECMPPick(key[:], len(c))]
+}
+
+// nextHopMap returns the next hop toward dst from every node that can
+// reach it, dst itself included (mapped to dst). When several equal-cost
+// next hops exist, one is chosen by hashing (node, dst) — ECMP-style
+// spreading, so different destinations' aggregation trees use different
+// spines while every single destination still gets one deterministic
+// loop-free tree (the property the paper's correctness argument needs).
+// The empty avoid set reads the candidate tables; a non-empty one runs a
+// fresh search, since failover queries see the fabric's current failures.
+func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]netsim.NodeID {
 	next := map[netsim.NodeID]netsim.NodeID{dst: dst}
+	if avoid.empty() {
+		di, ok := f.idx[dst]
+		if !ok {
+			return next
+		}
+		for i := range f.ids {
+			if from := int32(i); from != di {
+				if nh := f.nextHop(from, di); nh >= 0 {
+					next[f.ids[i]] = f.ids[nh]
+				}
+			}
+		}
+		return next
+	}
 	if avoid.node(dst) {
 		return next
 	}
@@ -722,71 +821,6 @@ func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]n
 	return next
 }
 
-// nextHopDense is nextHopMap's empty-avoid fast path on the dense graph
-// mirror: one slice-indexed BFS per destination, memoized. Entry i is the
-// next hop from f.ids[i] toward dst, or 0 (never a valid NodeID) when
-// unreachable. Candidate order and the ECMP pick match the map BFS
-// exactly, so the chosen routes are identical.
-func (f *Fabric) nextHopDense(dst netsim.NodeID) []netsim.NodeID {
-	if dn, ok := f.nh[dst]; ok {
-		return dn
-	}
-	n := len(f.ids)
-	next := make([]netsim.NodeID, n)
-	di, known := f.idx[dst]
-	if !known {
-		f.nh[dst] = next
-		return next
-	}
-	// Pass 1: BFS distances from dst (traffic never transits hosts).
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[di] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, di)
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		if !IsSwitchID(f.ids[cur]) && cur != di {
-			continue // hosts are leaves of the BFS
-		}
-		for _, peer := range f.dadj[cur] {
-			if dist[peer] < 0 {
-				dist[peer] = dist[cur] + 1
-				queue = append(queue, peer)
-			}
-		}
-	}
-	// Pass 2: per node, collect all equal-cost next hops and hash-pick.
-	var key [8]byte
-	var candidates []netsim.NodeID
-	for node := int32(0); node < int32(n); node++ {
-		d := dist[node]
-		if d <= 0 {
-			continue // unreached, or dst itself
-		}
-		candidates = candidates[:0]
-		for _, peer := range f.dadj[node] {
-			if dist[peer] == d-1 {
-				// The next hop must be able to carry transit traffic (be a
-				// switch) unless it is the destination itself.
-				if peerID := f.ids[peer]; IsSwitchID(peerID) || peerID == dst {
-					candidates = append(candidates, peerID)
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			continue // unreachable through valid transit
-		}
-		binary.BigEndian.PutUint32(key[0:4], uint32(f.ids[node]))
-		binary.BigEndian.PutUint32(key[4:8], uint32(dst))
-		next[node] = candidates[hashing.ECMPPick(key[:], len(candidates))]
-	}
-	f.nh[dst] = next
-	return next
-}
-
 // NextHop returns the neighbor `from` should forward to in order to reach
 // dst along a shortest path, and whether dst is reachable.
 func (f *Fabric) NextHop(from, dst netsim.NodeID) (netsim.NodeID, bool) {
@@ -799,13 +833,15 @@ func (f *Fabric) NextHopAvoiding(from, dst netsim.NodeID, avoid *Avoid) (netsim.
 		return dst, true
 	}
 	if avoid.empty() {
-		// Dense lookup: no per-query map materialization.
 		fi, ok := f.idx[from]
-		if !ok {
+		di, known := f.idx[dst]
+		if !ok || !known {
 			return 0, false
 		}
-		nh := f.nextHopDense(dst)[fi]
-		return nh, nh != 0
+		if nh := f.nextHop(fi, di); nh >= 0 {
+			return f.ids[nh], true
+		}
+		return 0, false
 	}
 	nh, ok := f.nextHopMap(dst, avoid)[from]
 	return nh, ok
@@ -831,6 +867,9 @@ func (f *Fabric) Path(src, dst netsim.NodeID) []netsim.NodeID {
 // controller re-plans aggregation trees with this after declaring switches
 // or links dead.
 func (f *Fabric) PathAvoiding(src, dst netsim.NodeID, avoid *Avoid) []netsim.NodeID {
+	if avoid.empty() {
+		return f.path(src, dst)
+	}
 	if avoid.node(src) {
 		return nil
 	}
@@ -847,6 +886,25 @@ func (f *Fabric) PathAvoiding(src, dst netsim.NodeID, avoid *Avoid) []netsim.Nod
 			// Defensive: a cycle here would mean nextHopMap is broken.
 			panic("topology: path longer than node count")
 		}
+	}
+	return path
+}
+
+// path is PathAvoiding with nothing avoided, walked over the candidate
+// tables.
+func (f *Fabric) path(src, dst netsim.NodeID) []netsim.NodeID {
+	if src == dst {
+		return []netsim.NodeID{src}
+	}
+	cur, ok := f.idx[src]
+	di, known := f.idx[dst]
+	if !ok || !known || f.nextHop(cur, di) < 0 {
+		return nil
+	}
+	path := []netsim.NodeID{src}
+	for cur != di {
+		cur = f.nextHop(cur, di)
+		path = append(path, f.ids[cur])
 	}
 	return path
 }

@@ -456,6 +456,9 @@ func TestProgramRejectsBadConfigs(t *testing.T) {
 	if err := p.ConfigureTree(core.TreeConfig{TreeID: 1, Children: 1, TableSize: 8, Agg: core.AggSum}); err == nil {
 		t.Fatal("duplicate tree must fail")
 	}
+	if err := p.InstallRoute(1, -1); err == nil {
+		t.Fatal("negative route port must fail")
+	}
 }
 
 func TestTreeTeardownFreesSRAM(t *testing.T) {

@@ -760,11 +760,12 @@ func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]n
 		if !ok {
 			return next
 		}
-		for i := range f.ids {
-			if from := int32(i); from != di {
-				if nh := f.nextHop(from, di); nh >= 0 {
-					next[f.ids[i]] = f.ids[nh]
-				}
+		for from := int32(0); from < int32(len(f.ids)); from++ {
+			if from == di {
+				continue
+			}
+			if nh := f.nextHop(from, di); nh >= 0 {
+				next[f.ids[from]] = f.ids[nh]
 			}
 		}
 		return next

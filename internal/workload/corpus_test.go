@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,4 +152,44 @@ func TestPartitionOfPanicsOnBadInput(t *testing.T) {
 		}
 	}()
 	PartitionOf("x", 16, 0)
+}
+
+// TestGenerateGolden pins the Figure 3 corpus (seed 1: 12 partitions of
+// 2000 collision-free words, mean multiplicity 8.3, a 16K-slot table):
+// a SHA-256 over every partition's vocabulary and one over the shuffled
+// stream, recorded before the partitioner stopped building padded keys.
+// TestGenerateDeterministic only compares two runs of the same code, so
+// a partitioner or slot-check change that moves any word shows up here.
+func TestGenerateGolden(t *testing.T) {
+	c, err := Generate(CorpusSpec{Seed: 1, Reducers: 12, VocabPerReducer: 2000,
+		MeanMultiplicity: 8.3, TableSize: 16384, CollisionFree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := sha256.New()
+	for _, words := range c.Vocab {
+		for _, w := range words {
+			vocab.Write([]byte(w))
+			vocab.Write([]byte{0})
+		}
+		vocab.Write([]byte{0xff})
+	}
+	stream := sha256.New()
+	for _, w := range c.Stream {
+		stream.Write([]byte(w))
+		stream.Write([]byte{0})
+	}
+	const (
+		wantVocab  = "856cfe525d5277b401933ef2d319457311328fcf949e2d83e74f36e04e2b2eab"
+		wantStream = "5c7716b35f43a0a8524cec3af2b11ae3bf5ff57ab0a48408b181dc7832f9f681"
+	)
+	if got := fmt.Sprintf("%x", vocab.Sum(nil)); got != wantVocab {
+		t.Errorf("vocabulary: got %s, want %s", got, wantVocab)
+	}
+	if got := fmt.Sprintf("%x", stream.Sum(nil)); got != wantStream {
+		t.Errorf("stream: got %s, want %s", got, wantStream)
+	}
+	if c.TotalWords != 199071 {
+		t.Errorf("total words %d", c.TotalWords)
+	}
 }

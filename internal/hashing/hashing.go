@@ -25,6 +25,22 @@ func FNV1a64(b []byte) uint64 {
 	return h
 }
 
+// FNV1a64Padded returns FNV1a64(PadKey([]byte(key), width)) without
+// building the padded copy: the key's bytes, then one zero byte per
+// position up to width (XOR with zero leaves the state unchanged, so each
+// pad byte is one multiply). Keys at or beyond width hash as they are.
+func FNV1a64Padded(key string, width int) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= fnvPrime64
+	}
+	for i := len(key); i < width; i++ {
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // FNV1a32 returns the 32-bit FNV-1a hash of b. The 32-bit variant is what a
 // P4 target's hash extern typically produces.
 func FNV1a32(b []byte) uint32 {

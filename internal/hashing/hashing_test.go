@@ -130,6 +130,28 @@ func TestPadKey(t *testing.T) {
 	}
 }
 
+// TestFNV1a64PaddedMatchesPadKey checks the padded hash against hashing
+// the materialized padded key, for every key length from empty to four
+// bytes past the width, at several widths (0 included: nothing to pad).
+func TestFNV1a64PaddedMatchesPadKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, width := range []int{0, 1, 7, 16, 64} {
+		for n := 0; n <= width+4; n++ {
+			for trial := 0; trial < 8; trial++ {
+				key := make([]byte, n)
+				rng.Read(key)
+				if trial == 0 {
+					clear(key) // all-zero keys collide with their own padding
+				}
+				want := FNV1a64(PadKey(key, width))
+				if got := FNV1a64Padded(string(key), width); got != want {
+					t.Fatalf("width %d key %x: FNV1a64Padded %#x, FNV1a64(PadKey) %#x", width, key, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCollisionFreeVocabularyRejectsOverfull(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := CollisionFreeVocabulary(rng, 10, 16, 16, 5); err == nil {

@@ -415,9 +415,13 @@ func (c *Cluster) shuffleTCP(agg core.AggFunc, spills [][]*spill) ([]ReducerRepo
 				i, len(st.runs), st.open)
 		}
 		runs := make([][]core.KV, len(st.runs))
+		keys := make(map[string]string)
 		var pairs uint64
 		for j, raw := range st.runs {
-			runs[j] = decodeRun(c.Cfg.Geometry, raw)
+			var err error
+			if runs[j], err = decodeRun(c.Cfg.Geometry, raw, keys); err != nil {
+				return nil, fmt.Errorf("mapreduce: reducer %d run %d: %w", i, j, err)
+			}
 			pairs += uint64(len(runs[j]))
 		}
 		out, dur := reduceMergeRuns(runs, agg)

@@ -70,7 +70,7 @@ func runJobFingerprint(t *testing.T, job Job, splits [][]string, cfg ClusterConf
 }
 
 // figure3Splits is the Figure 3 corpus at seed 1, cut for 24 mappers.
-func figure3Splits(t *testing.T) [][]string {
+func figure3Splits(t testing.TB) [][]string {
 	t.Helper()
 	corpus, err := workload.Generate(workload.CorpusSpec{
 		Seed: 1, Reducers: 12, VocabPerReducer: 2000, MeanMultiplicity: 8.3,

@@ -16,8 +16,11 @@
 package mapreduce
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -80,8 +83,9 @@ type spill struct {
 	n    int
 }
 
-func newSpill(geom wire.PairGeometry) *spill {
-	return &spill{geom: geom}
+// newSpill returns an empty spill with room for capRecords records.
+func newSpill(geom wire.PairGeometry, capRecords int) *spill {
+	return &spill{geom: geom, data: make([]byte, 0, capRecords*geom.PairWidth())}
 }
 
 func (s *spill) add(key string, value uint32) error {
@@ -104,38 +108,52 @@ func (s *spill) record(i int) (key []byte, value uint32) {
 	return key, value
 }
 
-// sortRecords sorts the spill in place by key — the mapper-side sort the
-// TCP baseline performs before the shuffle.
+// sortRecords sorts the spill by key — the mapper-side sort the TCP
+// baseline performs before the shuffle. Records with equal keys keep
+// their emission order, so the order is total and the sorted bytes depend
+// on nothing but the spill.
 func (s *spill) sortRecords() {
-	pw := s.geom.PairWidth()
-	idx := make([]int, s.n)
+	pw, kw := s.geom.PairWidth(), s.geom.KeyWidth
+	idx := make([]int32, s.n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka := s.data[idx[a]*pw : idx[a]*pw+s.geom.KeyWidth]
-		kb := s.data[idx[b]*pw : idx[b]*pw+s.geom.KeyWidth]
-		return string(ka) < string(kb)
+	slices.SortFunc(idx, func(a, b int32) int {
+		ka := s.data[int(a)*pw : int(a)*pw+kw]
+		kb := s.data[int(b)*pw : int(b)*pw+kw]
+		if c := bytes.Compare(ka, kb); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	sorted := make([]byte, len(s.data))
 	for out, in := range idx {
-		copy(sorted[out*pw:(out+1)*pw], s.data[in*pw:(in+1)*pw])
+		copy(sorted[out*pw:(out+1)*pw], s.data[int(in)*pw:(int(in)+1)*pw])
 	}
 	s.data = sorted
 }
 
-// decodeRun parses a fixed-record byte stream into KVs.
-func decodeRun(geom wire.PairGeometry, data []byte) []core.KV {
+// decodeRun parses one mapper's fixed-record run into KVs. keys interns
+// the key strings across all runs one reducer receives, so each distinct
+// key is allocated once per reducer rather than once per record. A run
+// that ends inside a record is an error: the stream lost bytes.
+func decodeRun(geom wire.PairGeometry, data []byte, keys map[string]string) ([]core.KV, error) {
 	pw := geom.PairWidth()
-	n := len(data) / pw
-	out := make([]core.KV, 0, n)
-	for i := 0; i < n; i++ {
-		off := i * pw
-		key := wire.TrimKey(data[off : off+geom.KeyWidth])
-		val := binary.BigEndian.Uint32(data[off+geom.KeyWidth : off+pw])
-		out = append(out, core.KV{Key: string(key), Value: val})
+	if rem := len(data) % pw; rem != 0 {
+		return nil, fmt.Errorf("%d bytes end in a partial record (%d of %d bytes)", len(data), rem, pw)
 	}
-	return out
+	out := make([]core.KV, len(data)/pw)
+	for i := range out {
+		rec := data[i*pw : (i+1)*pw]
+		kb := wire.TrimKey(rec[:geom.KeyWidth])
+		key, ok := keys[string(kb)]
+		if !ok {
+			key = string(kb)
+			keys[key] = key
+		}
+		out[i] = core.KV{Key: key, Value: binary.BigEndian.Uint32(rec[geom.KeyWidth:])}
+	}
+	return out, nil
 }
 
 // runMapPhase executes Map over every split, partitioning output into
@@ -144,9 +162,14 @@ func runMapPhase(job Job, splits [][]string, nReducers int, geom wire.PairGeomet
 	spills := make([][]*spill, len(splits))
 	var firstErr error
 	for m, split := range splits {
+		// Size each spill once for one pair per record (WordCount) spread
+		// evenly over the partitions, with headroom for the imbalance; a
+		// spill that still outgrows it grows by append.
+		hint := len(split) / nReducers
+		hint += hint/8 + 16
 		spills[m] = make([]*spill, nReducers)
 		for r := range spills[m] {
-			spills[m][r] = newSpill(geom)
+			spills[m][r] = newSpill(geom, hint)
 		}
 		emit := func(key string, value uint32) {
 			p := workload.PartitionOf(key, geom.KeyWidth, nReducers)
@@ -247,32 +270,48 @@ func reduceMergeRuns(runs [][]core.KV, agg core.AggFunc) ([]core.KV, time.Durati
 }
 
 // verifyAgainstReference recomputes the job output directly from the spills
-// and compares — the end-to-end correctness oracle.
+// and compares — the end-to-end correctness oracle. got must be strictly
+// ascending (sorted, no key twice); every spilled key must be in got,
+// every key of got must have been spilled, and each value must equal the
+// combine of that key's spilled values. The reference is accumulated per
+// position of got, looked up by the record's key bytes, so checking
+// allocates nothing per record.
 func verifyAgainstReference(spills [][]*spill, reducer int, agg core.AggFunc, got []core.KV) error {
-	want := make(map[string]uint32)
+	for i := 1; i < len(got); i++ {
+		if got[i].Key <= got[i-1].Key {
+			return fmt.Errorf("mapreduce: reducer %d output not sorted at %d", reducer, i)
+		}
+	}
+	slot := make(map[string]int, len(got))
+	for i, kv := range got {
+		slot[kv.Key] = i
+	}
+	type total struct {
+		value uint32
+		hit   bool
+	}
+	want := make([]total, len(got))
 	for m := range spills {
 		sp := spills[m][reducer]
 		for i := 0; i < sp.n; i++ {
 			k, v := sp.record(i)
-			key := string(wire.TrimKey(k))
-			if cur, ok := want[key]; ok {
-				want[key] = agg.Combine(cur, v)
-			} else {
-				want[key] = agg.Combine(agg.Identity(), v)
+			key := wire.TrimKey(k)
+			j, ok := slot[string(key)]
+			if !ok {
+				return fmt.Errorf("mapreduce: reducer %d output lacks key %q", reducer, key)
 			}
+			if !want[j].hit {
+				want[j] = total{value: agg.Identity(), hit: true}
+			}
+			want[j].value = agg.Combine(want[j].value, v)
 		}
 	}
-	if len(want) != len(got) {
-		return fmt.Errorf("mapreduce: reducer %d output has %d keys, want %d", reducer, len(got), len(want))
-	}
-	prev := ""
-	for i, kv := range got {
-		if i > 0 && kv.Key <= prev {
-			return fmt.Errorf("mapreduce: reducer %d output not sorted at %d", reducer, i)
+	for j, kv := range got {
+		if !want[j].hit {
+			return fmt.Errorf("mapreduce: reducer %d output has key %q that no mapper emitted", reducer, kv.Key)
 		}
-		prev = kv.Key
-		if want[kv.Key] != kv.Value {
-			return fmt.Errorf("mapreduce: reducer %d key %q = %d, want %d", reducer, kv.Key, kv.Value, want[kv.Key])
+		if kv.Value != want[j].value {
+			return fmt.Errorf("mapreduce: reducer %d key %q = %d, want %d", reducer, kv.Key, kv.Value, want[j].value)
 		}
 	}
 	return nil

@@ -2,7 +2,9 @@ package mapreduce
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/stats"
@@ -176,7 +178,7 @@ func TestReduceMergeRuns(t *testing.T) {
 }
 
 func TestSpillRecordsRoundtrip(t *testing.T) {
-	sp := newSpill(wire.DefaultGeometry)
+	sp := newSpill(wire.DefaultGeometry, 0)
 	for i := 0; i < 10; i++ {
 		if err := sp.add(fmt.Sprintf("key%02d", 9-i), uint32(i)); err != nil {
 			t.Fatal(err)
@@ -205,12 +207,53 @@ func TestSpillRecordsRoundtrip(t *testing.T) {
 }
 
 func TestDecodeRun(t *testing.T) {
-	sp := newSpill(wire.DefaultGeometry)
+	sp := newSpill(wire.DefaultGeometry, 0)
 	_ = sp.add("x", 1)
 	_ = sp.add("y", 2)
-	kvs := decodeRun(wire.DefaultGeometry, sp.data)
-	if len(kvs) != 2 || kvs[0].Key != "x" || kvs[1].Value != 2 {
+	_ = sp.add("x", 3)
+	keys := map[string]string{}
+	kvs, err := decodeRun(wire.DefaultGeometry, sp.data, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kvs) != 3 || kvs[0].Key != "x" || kvs[1].Value != 2 || kvs[2] != (core.KV{Key: "x", Value: 3}) {
 		t.Fatalf("got %+v", kvs)
+	}
+	if len(keys) != 2 || unsafe.StringData(kvs[0].Key) != unsafe.StringData(kvs[2].Key) {
+		t.Fatalf("keys not interned: %v", keys)
+	}
+}
+
+// TestDecodeRunRejectsTruncatedStream checks that a run ending inside a
+// record is an error rather than a silently shorter run, and that the TCP
+// shuffle fails the reducer that received it.
+func TestDecodeRunRejectsTruncatedStream(t *testing.T) {
+	run := newSpill(wire.DefaultGeometry, 0)
+	_ = run.add("x", 1)
+	_ = run.add("y", 2)
+	for _, cut := range []int{1, wire.DefaultGeometry.PairWidth() - 1} {
+		if kvs, err := decodeRun(wire.DefaultGeometry, run.data[:len(run.data)-cut], map[string]string{}); err == nil {
+			t.Fatalf("cut %d: decoded %+v from a truncated run", cut, kvs)
+		}
+	}
+	if _, err := decodeRun(wire.DefaultGeometry, nil, map[string]string{}); err != nil {
+		t.Fatalf("empty run: %v", err)
+	}
+
+	// A mapper whose stream ends in a partial record fails the reducer:
+	// mapper 0 sends one whole record and 17 bytes of the second.
+	const mappers, reducers, tableSize = 2, 1, 64
+	cl := newTestCluster(t, mappers, reducers, tableSize)
+	spills, err := runMapPhase(WordCount, [][]string{{"a", "b"}, {"a"}}, reducers, cl.Cfg.Geometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := spills[0][0]
+	sp.data = sp.data[:len(sp.data)-3]
+	sp.n = len(sp.data) / sp.geom.PairWidth()
+	sum, _ := core.FuncByID(core.AggSum)
+	if _, err := cl.shuffleTCP(sum, spills); err == nil || !strings.Contains(err.Error(), "partial record") {
+		t.Fatalf("shuffleTCP over a truncated stream: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ func TestVerifyAgainstReferenceRejects(t *testing.T) {
 	}
 	spills := make([][]*spill, 2)
 	for m := range spills {
-		spills[m] = []*spill{newSpill(wire.DefaultGeometry), newSpill(wire.DefaultGeometry)}
+		spills[m] = []*spill{newSpill(wire.DefaultGeometry, 0), newSpill(wire.DefaultGeometry, 0)}
 	}
 	add := func(m, r int, key string, v uint32) {
 		if err := spills[m][r].add(key, v); err != nil {
@@ -43,6 +43,7 @@ func TestVerifyAgainstReferenceRejects(t *testing.T) {
 		{"missing key", []core.KV{kv("a", 4), kv("c", 4)}, false},
 		{"extra key", []core.KV{kv("a", 4), kv("b", 3), kv("c", 4), kv("d", 7)}, false},
 		{"key swapped for another", []core.KV{kv("a", 4), kv("b", 3), kv("d", 4)}, false},
+		{"key swapped for a zero-valued one", []core.KV{kv("a", 4), kv("b", 3), kv("d", 0)}, false},
 		{"wrong value", []core.KV{kv("a", 4), kv("b", 5), kv("c", 4)}, false},
 		{"unsorted", []core.KV{kv("b", 3), kv("a", 4), kv("c", 4)}, false},
 		{"duplicated key", []core.KV{kv("a", 4), kv("b", 3), kv("b", 3), kv("c", 4)}, false},

@@ -24,8 +24,7 @@ func PartitionOf(word string, keyWidth, nReducers int) int {
 	if nReducers <= 0 {
 		panic("workload: PartitionOf with nReducers <= 0")
 	}
-	padded := hashing.PadKey([]byte(word), keyWidth)
-	return int(hashing.Mix64(hashing.FNV1a64(padded)) % uint64(nReducers))
+	return int(hashing.Mix64(hashing.FNV1a64Padded(word, keyWidth)) % uint64(nReducers))
 }
 
 // CorpusSpec parameterizes corpus generation.
@@ -126,7 +125,9 @@ func Generate(spec CorpusSpec) (*Corpus, error) {
 			continue
 		}
 		if spec.CollisionFree {
-			idx := hashing.Index(hashing.PadKey([]byte(w), spec.KeyWidth), spec.TableSize)
+			// The register index of the padded key, as hashing.Index computes
+			// it; TableSize >= VocabPerReducer > 0 here.
+			idx := int(hashing.FNV1a64Padded(w, spec.KeyWidth) % uint64(spec.TableSize))
 			if usedIdx[p][idx] {
 				continue
 			}

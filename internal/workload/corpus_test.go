@@ -145,6 +145,19 @@ func TestSkewedMultiplicity(t *testing.T) {
 	}
 }
 
+// TestPartitionOfAllocatesNothing pins the map phase's per-record cost:
+// partitioning hashes the padded key without building it.
+func TestPartitionOfAllocatesNothing(t *testing.T) {
+	words := []string{"", "a", "wordcount", "sixteen-byte-key", "longer-than-the-key-width"}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, w := range words {
+			PartitionOf(w, 16, 12)
+		}
+	}); n != 0 {
+		t.Fatalf("PartitionOf allocates %v times per run", n)
+	}
+}
+
 func TestPartitionOfPanicsOnBadInput(t *testing.T) {
 	defer func() {
 		if recover() == nil {
